@@ -168,8 +168,8 @@ impl Cfg {
             cfg.blocks[to].preds.push((from, count));
         }
         for b in &mut cfg.blocks {
-            b.succs.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
-            b.preds.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
+            b.succs.sort_by_key(|&(id, c)| (std::cmp::Reverse(c), id));
+            b.preds.sort_by_key(|&(id, c)| (std::cmp::Reverse(c), id));
         }
         cfg
     }

@@ -131,6 +131,7 @@ pub fn plan_insertions(
             b.1.reach
                 .total_cmp(&a.1.reach)
                 .then(a.1.distance.cmp(&b.1.distance))
+                .then(a.0.cmp(&b.0))
         });
         if eligible.is_empty() {
             plan.uncovered_lines += 1;
