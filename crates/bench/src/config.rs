@@ -185,7 +185,7 @@ impl ConfigId {
     }
 }
 
-/// Named AsmDB tunings selectable from the CLI and the `SWIP_ASMDB` shim.
+/// Named AsmDB tunings, selectable with `swip bench --asmdb`.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum AsmdbTuning {
     /// The paper-default tuning ([`AsmdbConfig::default`]).
@@ -194,8 +194,8 @@ pub enum AsmdbTuning {
     /// Lower reach threshold, more sites per target
     /// ([`AsmdbConfig::aggressive`]).
     Aggressive,
-    /// Wider windows and lower thresholds still (brackets the paper's
-    /// operating point from above; see EXPERIMENTS.md).
+    /// Wider windows and a lower reach threshold than the default (see
+    /// EXPERIMENTS.md for what each tuning measures).
     Wide,
 }
 

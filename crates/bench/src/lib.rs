@@ -45,12 +45,14 @@
 //! front-end and emits the Fig-9-style comparison TSV
 //! ([`figures::emit_prefetchers`]).
 //!
-//! Each figure has a dedicated binary (`fig1`, `fig7` … `fig11`,
-//! `table1`) that prints TSV rows to stdout and mirrors them into
-//! `target/experiments/<name>.tsv`; `allfigs` (or `swip bench`) produces
-//! the whole single-sweep evaluation at once. Scale knobs are explicit on
-//! [`SessionBuilder`] and the `swip bench` flags; the deprecated `SWIP_*`
-//! environment shim has been removed.
+//! Every experiment is registered by name in [`figures::FIGURES`] and
+//! launched with `swip bench --figure NAME` ([`figures::run_figure`]):
+//! the paper's figures (`table1`, `fig1`, `fig7` … `fig11`, `scenarios`;
+//! `all` produces the whole single-sweep evaluation at once), the
+//! prefetcher zoo, and the ablations and §VI extensions. Each prints its
+//! TSV rows to stdout and mirrors them into
+//! `target/experiments/<name>.tsv`. Scale knobs are explicit on
+//! [`SessionBuilder`] and the `swip bench` flags.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -80,7 +82,7 @@ pub use report::{build_plan_report, build_run_report, emit_report, session_count
 pub use results::WorkloadResults;
 pub use session::{BuildError, Session, SessionBuilder, SessionCounters};
 
-/// Any failure a figure binary can hit: invalid session knobs, a
+/// Any failure an experiment can hit: invalid session knobs, a
 /// panicking job, an I/O error while emitting TSVs, or an unknown figure
 /// name.
 #[derive(Debug)]
@@ -101,11 +103,11 @@ impl fmt::Display for BenchError {
             BenchError::Build(e) => write!(f, "invalid session: {e}"),
             BenchError::Engine(e) => write!(f, "{e}"),
             BenchError::Io(e) => write!(f, "could not write experiment output: {e}"),
-            BenchError::UnknownFigure(name) => write!(
-                f,
-                "unknown figure {name:?} (expected all, table1, fig1, fig7..fig11, \
-                 scenarios, or prefetchers)"
-            ),
+            BenchError::UnknownFigure(name) => {
+                let names: Vec<&str> = figures::FIGURES.iter().map(|&(n, _)| n).collect();
+                let names = names.join(", ");
+                write!(f, "unknown figure {name:?} (expected one of: {names})")
+            }
         }
     }
 }
@@ -151,8 +153,8 @@ pub fn out_dir() -> PathBuf {
 ///
 /// # Errors
 ///
-/// Propagates any I/O failure creating or writing the file, so figure
-/// binaries exit nonzero instead of silently dropping output.
+/// Propagates any I/O failure creating or writing the file, so
+/// `swip bench` exits nonzero instead of silently dropping output.
 pub fn emit_tsv(name: &str, header: &str, rows: &[String]) -> io::Result<PathBuf> {
     println!("{header}");
     for r in rows {

@@ -25,14 +25,16 @@
 //!   above the threshold, 2 = unreadable/incomparable report);
 //! * `swip bench [--figure NAME] [--prefetcher NAME]... [--instructions N]
 //!   [--stride N] [--threads K] [--asmdb TUNING] [--cache-dir DIR]
-//!   [--measure]` — run a paper figure (or `all` of them) through the
-//!   parallel experiment engine; the `all` sweep also writes a structured
-//!   `report.json` next to the TSVs; `--prefetcher` (repeatable, one of
-//!   `fdp`/`asmdb`/`mana`/`shadow_btb`) runs the prefetcher-zoo comparison
-//!   sweep over the named mechanisms instead; `--measure` instead times
-//!   the simulator over the sweep and appends an entry to the
-//!   `BENCH_throughput.json` history (the tracked hot-path metric, schema
-//!   v2);
+//!   [--measure]` — run one registered experiment through the parallel
+//!   experiment engine: a paper figure (or `all` of them), the prefetcher
+//!   zoo, or an ablation or §VI extension (the names are those of
+//!   `swip_bench::figures::FIGURES`); the `all` sweep also writes a
+//!   structured `report.json` next to the TSVs; `--prefetcher`
+//!   (repeatable, one of `fdp`/`asmdb`/`mana`/`shadow_btb`) runs the
+//!   prefetcher-zoo comparison sweep over the named mechanisms instead;
+//!   `--measure` instead times the simulator over the sweep and appends an
+//!   entry to the `BENCH_throughput.json` history (the tracked hot-path
+//!   metric, schema v2);
 //! * `swip report FILE` — summarize a `report.json`; `swip report --diff
 //!   A B` — print the counter-level differences between two run reports
 //!   and exit like `diff(1)`: 0 when they match, 1 when they differ, 2
@@ -133,8 +135,8 @@ pub enum Command {
     },
     /// Run benchmark figures through the parallel experiment engine.
     Bench {
-        /// Figure to emit (`all`, `fig1`, `fig7`–`fig11`, `scenarios`,
-        /// `table1`, `prefetchers`).
+        /// Experiment to run: a name registered in
+        /// `swip_bench::figures::FIGURES`.
         figure: String,
         /// Prefetchers for the zoo comparison sweep (`--prefetcher` flags,
         /// repeatable). Non-empty selects the `prefetchers` figure over
@@ -257,6 +259,9 @@ USAGE:
   swip bench [--figure NAME] [--prefetcher fdp|asmdb|mana|shadow_btb]...
              [--instructions N] [--stride N] [--threads K]
              [--asmdb default|aggressive|wide] [--cache-dir DIR] [--measure]
+             NAME: all table1 fig1 fig7 fig8 fig9 fig10 fig11 scenarios
+                   prefetchers ablation_ftq ablation_frontend ablation_fanout
+                   extension_hw_prefetch extension_preload feedback
   swip report FILE
   swip report --diff FILE FILE     (exits 0 match / 1 differ / 2 unreadable)
   swip report --migrate-history FILE
@@ -1488,6 +1493,23 @@ mod tests {
         assert!(parse(&["fleet", "run", "--offline", "--shard-timeout", "0"]).is_err());
         assert!(parse(&["fleet", "run", "--offline", "--retries", "0"]).is_err());
         assert!(parse(&["fleet", "run", "--offline", "--bogus"]).is_err());
+    }
+
+    #[test]
+    fn bench_usage_lists_every_registered_experiment() {
+        let (_, names) = USAGE
+            .split_once("NAME:")
+            .expect("the bench usage lists the experiment names");
+        let listed: Vec<&str> = names
+            .lines()
+            .take_while(|l| !l.trim_start().starts_with("swip "))
+            .flat_map(str::split_whitespace)
+            .collect();
+        let registered: Vec<&str> = swip_bench::figures::FIGURES
+            .iter()
+            .map(|&(n, _)| n)
+            .collect();
+        assert_eq!(listed, registered);
     }
 
     #[test]
