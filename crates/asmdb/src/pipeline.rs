@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use swip_core::{HintTable, PrefetchHints, SimConfig, SimReport, Simulator};
+use swip_core::{HintTable, SimConfig, SimReport, Simulator};
 use swip_trace::Trace;
 
 use crate::rewrite::{rewrite_trace, RewriteReport};
@@ -77,11 +77,9 @@ pub struct AsmdbOutput {
     /// Bloat accounting (Fig 7).
     pub report: RewriteReport,
     /// No-overhead hints equivalent to the plan, for the idealized
-    /// configurations (applied to the *original* trace).
-    pub hints: PrefetchHints,
-    /// The same hints as a prebuilt shared table: built once here so every
-    /// no-overhead simulation of this workload shares one copy by `Arc`
-    /// instead of cloning the map per run.
+    /// configurations (applied to the *original* trace), as a prebuilt
+    /// shared table: built once here so every no-overhead simulation of
+    /// this workload shares one copy by `Arc`.
     pub hint_table: Arc<HintTable>,
     /// The minimum distance used (IPC × LLC latency, floored).
     pub min_distance: u64,
@@ -148,14 +146,12 @@ impl Asmdb {
         let profile = self.profile(trace, sim_config);
         let (plan, min_distance) = self.plan(trace, &profile, sim_config);
         let (rewritten, report) = rewrite_trace(trace, &plan);
-        let hints = plan.to_hints();
-        let hint_table = Arc::new(HintTable::from_pc_map(&hints));
+        let hint_table = Arc::new(HintTable::from_pc_map(&plan.to_hints()));
         AsmdbOutput {
             profile,
             plan,
             rewritten,
             report,
-            hints,
             hint_table,
             min_distance,
         }
@@ -216,8 +212,10 @@ mod tests {
         assert!(out.report.static_bloat > 0.0);
         assert!(out.rewritten.len() > trace.len());
         // Hints and rewrites describe the same plan.
-        let hint_targets: usize = out.hints.values().map(Vec::len).sum();
-        assert_eq!(hint_targets, out.plan.len());
+        for i in &out.plan.insertions {
+            let targets = out.hint_table.get(i.anchor.raw()).unwrap_or_default();
+            assert!(targets.contains(&i.target_pc), "{i:?} has no hint");
+        }
     }
 
     #[test]
@@ -242,7 +240,8 @@ mod tests {
             ..AsmdbConfig::default()
         });
         let out = asmdb.run(&trace, &SimConfig::test_scale());
-        let r = Simulator::new(SimConfig::test_scale()).run_with_hints(&trace, &out.hints);
+        let r = Simulator::new(SimConfig::test_scale())
+            .run_with_hint_table(&trace, out.hint_table.clone());
         assert!(r.completed);
         assert_eq!(r.prefetch_instructions, 0, "hints add no instructions");
         assert!(r.frontend.swpf_hinted.get() > 0);

@@ -50,46 +50,20 @@ impl Simulator {
         self.run_inner(trace, None, None)
     }
 
-    /// Simulates `trace` with no-overhead software-prefetch hints installed.
-    ///
-    /// Convenience wrapper that builds a private [`HintTable`] from the
-    /// map; sweeps that re-run the same hints should build the table once
-    /// and use [`Simulator::run_with_hint_table`] instead.
-    pub fn run_with_hints(&self, trace: &Trace, hints: &PrefetchHints) -> SimReport {
-        if hints.is_empty() {
-            return self.run_inner(trace, None, None);
-        }
-        let table = Arc::new(HintTable::from_pc_map(hints));
-        self.run_inner(trace, Some(table), None)
-    }
-
     /// Simulates `trace` with a shared no-overhead hint table (built once
     /// per workload via [`HintTable::from_pc_map`]). The table is shared by
-    /// `Arc` — nothing is copied per run.
+    /// `Arc` — nothing is copied per run. Panics if the configured
+    /// prefetcher is MANA or shadow-BTB, which the table would replace.
     pub fn run_with_hint_table(&self, trace: &Trace, hints: Arc<HintTable>) -> SimReport {
         self.run_inner(trace, Some(hints), None)
     }
 
     /// Simulates `trace` with the §VI metadata-preloading extension: the
-    /// prefetch metadata lives in an LLC-side table consulted on L1-I
-    /// accesses, instead of in the instruction stream.
-    ///
-    /// Convenience wrapper that builds a private [`HintTable`] from the
-    /// map; sweeps that re-run the same metadata should build the table
-    /// once and use [`Simulator::run_with_preload_table`] instead.
-    pub fn run_with_preload(
-        &self,
-        trace: &Trace,
-        metadata: &PreloadMetadata,
-        preload: PreloadConfig,
-    ) -> SimReport {
-        let table = Arc::new(HintTable::from_line_map(metadata));
-        self.run_inner(trace, None, Some((table, preload)))
-    }
-
-    /// Simulates `trace` with a shared preload-metadata table (built once
-    /// per workload via [`HintTable::from_line_map`]). The table is shared
-    /// by `Arc` — nothing is copied per run.
+    /// prefetch metadata lives in a shared LLC-side table (built once per
+    /// workload via [`HintTable::from_line_map`]) consulted on L1-I
+    /// accesses, instead of in the instruction stream. Panics if the
+    /// configured prefetcher is MANA or shadow-BTB, which the table would
+    /// replace.
     pub fn run_with_preload_table(
         &self,
         trace: &Trace,
@@ -105,12 +79,31 @@ impl Simulator {
         hints: Option<Arc<HintTable>>,
         preload: Option<(Arc<HintTable>, PreloadConfig)>,
     ) -> SimReport {
+        let prefetcher = self.config.prefetcher;
+        if hints.is_some() || preload.is_some() {
+            // A table installs its own prefetcher in the front-end's one
+            // slot, so it would silently drop a hardware mechanism.
+            assert!(
+                matches!(
+                    prefetcher,
+                    swip_types::PrefetcherId::Fdp | swip_types::PrefetcherId::Asmdb
+                ),
+                "{} would replace the {} prefetcher; tables run only with the fdp or \
+                 asmdb prefetcher",
+                if hints.is_some() {
+                    "an AsmDB hint table"
+                } else {
+                    "a preload table"
+                },
+                prefetcher.label()
+            );
+        }
         let mut frontend = Frontend::new(self.config.frontend.clone());
         // The hardware mechanisms of the prefetcher zoo (DESIGN.md §16).
         // Fdp needs no mechanism (run-ahead is intrinsic to the FTQ) and
         // Asmdb's prefetches arrive via the rewritten trace or the hint
         // table installed below.
-        match self.config.prefetcher {
+        match prefetcher {
             swip_types::PrefetcherId::Fdp | swip_types::PrefetcherId::Asmdb => {}
             swip_types::PrefetcherId::Mana => {
                 frontend.set_prefetcher(Box::new(swip_frontend::ManaPrefetcher::new()));
@@ -348,10 +341,19 @@ mod tests {
         let trace = b.finish();
         let mut hints = PrefetchHints::new();
         hints.insert(Addr::new(0x10), vec![far]);
-        let with_hints = sim().run_with_hints(&trace, &hints);
+        let table = Arc::new(HintTable::from_pc_map(&hints));
+        let with_hints = sim().run_with_hint_table(&trace, table);
         assert!(with_hints.completed);
         assert_eq!(with_hints.prefetch_instructions, 0);
         assert!(with_hints.frontend.swpf_hinted.get() >= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "an AsmDB hint table would replace the mana prefetcher")]
+    fn hint_table_refuses_to_drop_a_hardware_prefetcher() {
+        let mut config = SimConfig::test_scale();
+        config.prefetcher = swip_types::PrefetcherId::Mana;
+        Simulator::new(config).run_with_hint_table(&straight_line(100), Arc::default());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use swip_branch::BranchUnit;
 use swip_cache::MemoryHierarchy;
 use swip_trace::Trace;
-use swip_types::{Addr, Cycle, InstrKind, Instruction, SeqNum};
+use swip_types::{Cycle, InstrKind, Instruction, SeqNum};
 
 use crate::entry::{FtqEntry, LineState};
 use crate::hints::HintTable;
@@ -174,18 +174,9 @@ impl Frontend {
     /// Installs no-overhead software-prefetch hints: when an instruction at
     /// a trigger PC is inserted into the FTQ, the given target lines are
     /// prefetched without any instruction overhead (the paper's
-    /// "AsmDB — No Insertion Overhead" configuration).
-    ///
-    /// Convenience wrapper over [`Frontend::set_hint_table`] that builds a
-    /// private table; sweeps should build one [`HintTable`] per workload
-    /// and share it.
-    pub fn set_prefetch_hints(&mut self, hints: HashMap<Addr, Vec<Addr>>) {
-        self.set_hint_table(Arc::new(HintTable::from_pc_map(&hints)));
-    }
-
-    /// Installs a shared no-overhead software-prefetch hint table (keyed by
-    /// trigger PC, as built by [`HintTable::from_pc_map`]). The `Arc` is
-    /// stored as-is — no per-run copy is made.
+    /// "AsmDB — No Insertion Overhead" configuration). The table is keyed
+    /// by trigger PC, as built by [`HintTable::from_pc_map`], and shared:
+    /// the `Arc` is stored as-is — no per-run copy is made.
     ///
     /// Equivalent to `set_prefetcher(Box::new(AsmdbHintPrefetcher::new(table)))`.
     pub fn set_hint_table(&mut self, table: Arc<HintTable>) {
@@ -210,27 +201,13 @@ impl Frontend {
         self.prefetcher.as_mut()
     }
 
-    /// Enables the §VI metadata-preloading extension: `metadata` (trigger
-    /// line number → prefetch targets) is preloaded into an LLC-side table;
-    /// each L1-I line request consults a small L1-side metadata cache and,
-    /// on a miss there, fetches the entry from the LLC table after the
-    /// configured latency before firing its prefetches.
-    ///
-    /// Convenience wrapper over [`Frontend::set_preload_table`] that builds
-    /// a private table; sweeps should build one [`HintTable`] per workload
-    /// and share it.
-    pub fn set_preload_metadata(
-        &mut self,
-        metadata: HashMap<u64, Vec<Addr>>,
-        config: PreloadConfig,
-    ) {
-        self.set_preload_table(Arc::new(HintTable::from_line_map(&metadata)), config);
-    }
-
-    /// Enables the §VI metadata-preloading extension with a shared LLC-side
-    /// table (keyed by trigger line number, as built by
-    /// [`HintTable::from_line_map`]). The `Arc` is stored as-is — no
-    /// per-run copy is made.
+    /// Enables the §VI metadata-preloading extension: `table` (trigger
+    /// line number → prefetch targets, as built by
+    /// [`HintTable::from_line_map`]) is the preloaded LLC-side table; each
+    /// L1-I line request consults a small L1-side metadata cache and, on a
+    /// miss there, fetches the entry from the LLC table after the
+    /// configured latency before firing its prefetches. The `Arc` is
+    /// stored as-is — no per-run copy is made.
     ///
     /// Equivalent to `set_prefetcher(Box::new(PreloadPrefetcher::new(table, config)))`.
     pub fn set_preload_table(&mut self, table: Arc<HintTable>, config: PreloadConfig) {
@@ -745,6 +722,7 @@ mod tests {
     use super::*;
     use swip_cache::HierarchyConfig;
     use swip_trace::TraceBuilder;
+    use swip_types::Addr;
 
     fn tiny_mem() -> MemoryHierarchy {
         MemoryHierarchy::new(HierarchyConfig::tiny())
@@ -937,7 +915,7 @@ mod tests {
         let mut fe = Frontend::new(config(24));
         let mut hints = HashMap::new();
         hints.insert(Addr::new(0x8), vec![far]);
-        fe.set_prefetch_hints(hints);
+        fe.set_hint_table(Arc::new(HintTable::from_pc_map(&hints)));
         let mut mem = tiny_mem();
         run_to_completion(&mut fe, &trace, &mut mem, 100_000);
         assert_eq!(fe.stats().swpf_hinted.get(), 1);
@@ -981,8 +959,8 @@ mod tests {
         metadata.insert(Addr::new(0x0).line().number(), vec![far]);
         // Latency chosen so the metadata arrives once the cold-start misses
         // have drained the tiny MSHR file.
-        fe.set_preload_metadata(
-            metadata,
+        fe.set_preload_table(
+            Arc::new(HintTable::from_line_map(&metadata)),
             crate::PreloadConfig {
                 l1_entries: 8,
                 metadata_latency: 90,
@@ -1012,7 +990,10 @@ mod tests {
         let mut fe = Frontend::new(config(4));
         let mut metadata = HashMap::new();
         metadata.insert(Addr::new(0x100).line().number(), vec![far]);
-        fe.set_preload_metadata(metadata, crate::PreloadConfig::default());
+        fe.set_preload_table(
+            Arc::new(HintTable::from_line_map(&metadata)),
+            crate::PreloadConfig::default(),
+        );
         let mut mem = tiny_mem();
         run_to_completion(&mut fe, &trace, &mut mem, 200_000);
         assert_eq!(fe.stats().preload_metadata_requests.get(), 1);

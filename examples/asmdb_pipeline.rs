@@ -46,7 +46,7 @@ fn main() {
         ),
         (
             "AsmDB no-overhead (conservative)",
-            Simulator::new(conservative).run_with_hints(&trace, &out.hints),
+            Simulator::new(conservative).run_with_hint_table(&trace, out.hint_table.clone()),
         ),
         (
             "FDP 24-entry FTQ",
@@ -58,7 +58,7 @@ fn main() {
         ),
         (
             "AsmDB + FDP no-overhead",
-            Simulator::new(industry).run_with_hints(&trace, &out.hints),
+            Simulator::new(industry).run_with_hint_table(&trace, out.hint_table.clone()),
         ),
     ];
     println!(
