@@ -65,7 +65,6 @@ use std::path::PathBuf;
 mod config;
 mod engine;
 pub mod figures;
-pub mod measure;
 mod plan;
 mod report;
 mod results;
@@ -73,10 +72,6 @@ mod session;
 
 pub use config::{AsmdbTuning, ConfigId, ConfigParseError};
 pub use engine::EngineError;
-pub use measure::{
-    append_measurement, measure_throughput, migrate_history_file, ConfigThroughput,
-    ThroughputHistory, ThroughputReport,
-};
 pub use plan::{ExperimentPlan, PlanError};
 pub use report::{build_plan_report, build_run_report, emit_report, session_counter_pairs};
 pub use results::WorkloadResults;

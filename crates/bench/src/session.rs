@@ -226,6 +226,10 @@ struct AtomicCounters {
 
 /// A by-name memo where the first requester computes and every concurrent
 /// requester blocks on the same cell instead of recomputing.
+///
+/// Every lookup that does not run `init` counts as a hit, including one
+/// that waited on another thread's in-flight `init`, so the hit counters
+/// do not depend on thread timing.
 struct Memo<V> {
     map: Mutex<HashMap<String, Arc<OnceLock<Arc<V>>>>>,
 }
@@ -242,11 +246,15 @@ impl<V> Memo<V> {
             let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
             map.entry(key.to_string()).or_default().clone()
         };
-        if let Some(v) = cell.get() {
+        let mut ran = false;
+        let v = Arc::clone(cell.get_or_init(|| {
+            ran = true;
+            Arc::new(init())
+        }));
+        if !ran {
             on_hit();
-            return Arc::clone(v);
         }
-        Arc::clone(cell.get_or_init(|| Arc::new(init())))
+        v
     }
 }
 
@@ -711,5 +719,36 @@ mod tests {
         let c = s.counters();
         assert_eq!(c.trace_generations, 1);
         assert_eq!(c.trace_cache_hits, 1);
+    }
+
+    #[test]
+    fn memo_counts_waiting_on_an_in_flight_init_as_a_hit() {
+        const THREADS: u64 = 4;
+        let memo = Memo::new();
+        let inits = AtomicU64::new(0);
+        let hits = AtomicU64::new(0);
+        let barrier = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    barrier.wait();
+                    memo.get_or_init(
+                        "w",
+                        || {
+                            hits.fetch_add(1, Ordering::Relaxed);
+                        },
+                        || {
+                            inits.fetch_add(1, Ordering::Relaxed);
+                            // Keeps the init in flight while the other
+                            // threads arrive; the counts must hold in any
+                            // interleaving.
+                            std::thread::sleep(std::time::Duration::from_millis(200));
+                        },
+                    );
+                });
+            }
+        });
+        assert_eq!(inits.load(Ordering::Relaxed), 1);
+        assert_eq!(hits.load(Ordering::Relaxed), THREADS - 1);
     }
 }

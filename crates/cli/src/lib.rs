@@ -24,27 +24,18 @@
 //!   measured prefetch counters; same exit convention (1 = divergence
 //!   above the threshold, 2 = unreadable/incomparable report);
 //! * `swip bench [--figure NAME] [--prefetcher NAME]... [--instructions N]
-//!   [--stride N] [--threads K] [--asmdb TUNING] [--cache-dir DIR]
-//!   [--measure]` — run one registered experiment through the parallel
-//!   experiment engine: a paper figure (or `all` of them), the prefetcher
-//!   zoo, or an ablation or §VI extension (the names are those of
+//!   [--stride N] [--threads K] [--asmdb TUNING] [--cache-dir DIR]` — run
+//!   one registered experiment through the parallel experiment engine: a
+//!   paper figure (or `all` of them), the prefetcher zoo, or an ablation
+//!   or §VI extension (the names are those of
 //!   `swip_bench::figures::FIGURES`); the `all` sweep also writes a
 //!   structured `report.json` next to the TSVs; `--prefetcher`
 //!   (repeatable, one of `fdp`/`asmdb`/`mana`/`shadow_btb`) runs the
 //!   prefetcher-zoo comparison sweep over the named mechanisms instead;
-//!   `--measure` instead times the simulator over the sweep and appends an
-//!   entry to the `BENCH_throughput.json` history (the tracked hot-path
-//!   metric, schema v2);
 //! * `swip report FILE` — summarize a `report.json`; `swip report --diff
 //!   A B` — print the counter-level differences between two run reports
 //!   and exit like `diff(1)`: 0 when they match, 1 when they differ, 2
-//!   when a file cannot be read or parsed; `swip report --migrate-history
-//!   FILE` — rewrite a bare v1 `BENCH_throughput.json` as a schema-v2
-//!   history in place; `swip report --check-regression FILE [--threshold
-//!   PCT]` — compare the newest history entry against the previous one
-//!   per configuration and exit 1 when any `instrs_per_sec` dropped by
-//!   more than the threshold (default 25%), 2 when the file is
-//!   unreadable;
+//!   when a file cannot be read or parsed;
 //! * `swip fleet run` — shard an experiment plan across `swip serve`
 //!   workers (`--worker HOST:PORT`, repeatable) and merge the partial
 //!   reports into one `RunReport` byte-identical to a single-node run;
@@ -152,29 +143,11 @@ pub enum Command {
         asmdb: swip_bench::AsmdbTuning,
         /// Directory for the on-disk trace cache.
         cache_dir: Option<String>,
-        /// Measure simulator throughput instead of emitting figures, and
-        /// write `BENCH_throughput.json` to the working directory.
-        measure: bool,
     },
     /// Summarize or diff structured run reports.
     Report {
         /// Run-report JSON paths: one (summary) or two (`--diff`).
         files: Vec<String>,
-    },
-    /// Rewrite a bare v1 throughput report as a schema-v2 history in
-    /// place (`swip report --migrate-history`).
-    MigrateHistory {
-        /// Path to the tracked `BENCH_throughput.json`.
-        file: String,
-    },
-    /// Check the newest throughput-history entry for per-config
-    /// regressions against the previous entry (`swip report
-    /// --check-regression`).
-    CheckRegression {
-        /// Path to the throughput history (v1 files are accepted).
-        file: String,
-        /// Maximum tolerated per-config `instrs_per_sec` drop, percent.
-        threshold: f64,
     },
     /// Shard an experiment plan across `swip serve` workers, or run it
     /// locally with `--offline`.
@@ -258,15 +231,12 @@ USAGE:
   swip analyze --predict-vs REPORT.json [--threshold X]
   swip bench [--figure NAME] [--prefetcher fdp|asmdb|mana|shadow_btb]...
              [--instructions N] [--stride N] [--threads K]
-             [--asmdb default|aggressive|wide] [--cache-dir DIR] [--measure]
+             [--asmdb default|aggressive|wide] [--cache-dir DIR]
              NAME: all table1 fig1 fig7 fig8 fig9 fig10 fig11 scenarios
                    prefetchers ablation_ftq ablation_frontend ablation_fanout
                    extension_hw_prefetch extension_preload feedback
   swip report FILE
   swip report --diff FILE FILE     (exits 0 match / 1 differ / 2 unreadable)
-  swip report --migrate-history FILE
-  swip report --check-regression FILE [--threshold PCT]
-                                   (exits 0 clean / 1 regression / 2 unreadable)
   swip fleet run (--worker HOST:PORT)... | --offline
              [--workload NAME]... [--config LABEL]... [--prefetcher NAME]...
              [--instructions N] [--stride N] [--job-threads K]
@@ -452,7 +422,6 @@ pub fn parse(args: &[&str]) -> Result<Command, UsageError> {
             let mut threads = None;
             let mut asmdb = swip_bench::AsmdbTuning::Default;
             let mut cache_dir = None;
-            let mut measure = false;
             while let Some(a) = it.next() {
                 match a {
                     "--figure" => figure = take_value(&mut it, a)?.to_string(),
@@ -472,7 +441,6 @@ pub fn parse(args: &[&str]) -> Result<Command, UsageError> {
                             .ok_or_else(|| UsageError(format!("unknown asmdb tuning {v}")))?;
                     }
                     "--cache-dir" => cache_dir = Some(take_value(&mut it, a)?.to_string()),
-                    "--measure" => measure = true,
                     other => return Err(UsageError(format!("unknown flag {other}"))),
                 }
             }
@@ -484,64 +452,19 @@ pub fn parse(args: &[&str]) -> Result<Command, UsageError> {
                 threads,
                 asmdb,
                 cache_dir,
-                measure,
             })
         }
         "report" => {
             let mut diff = false;
-            let mut migrate = None;
-            let mut check = None;
-            let mut threshold = None;
             let mut files = Vec::new();
-            while let Some(a) = it.next() {
+            for a in it {
                 match a {
                     "--diff" => diff = true,
-                    "--migrate-history" => {
-                        migrate = Some(take_value(&mut it, a)?.to_string());
-                    }
-                    "--check-regression" => {
-                        check = Some(take_value(&mut it, a)?.to_string());
-                    }
-                    "--threshold" => {
-                        threshold = Some(parse_float(take_value(&mut it, a)?)?);
-                    }
                     flag if flag.starts_with("--") => {
                         return Err(UsageError(format!("unknown flag {flag}")))
                     }
                     file => files.push(file.to_string()),
                 }
-            }
-            let exclusive = diff as usize + migrate.is_some() as usize + check.is_some() as usize;
-            if exclusive > 1 {
-                return Err(UsageError(
-                    "--diff, --migrate-history, and --check-regression are mutually \
-                     exclusive"
-                        .into(),
-                ));
-            }
-            if threshold.is_some() && check.is_none() {
-                return Err(UsageError("--threshold requires --check-regression".into()));
-            }
-            if let Some(file) = migrate {
-                if !files.is_empty() {
-                    return Err(UsageError(
-                        "report --migrate-history takes exactly one FILE".into(),
-                    ));
-                }
-                return Ok(Command::MigrateHistory { file });
-            }
-            if let Some(file) = check {
-                if !files.is_empty() {
-                    return Err(UsageError(
-                        "report --check-regression takes exactly one FILE".into(),
-                    ));
-                }
-                let threshold = threshold.unwrap_or(25.0);
-                // NaN must fail too, so the finite check is explicit.
-                if !threshold.is_finite() || threshold <= 0.0 {
-                    return Err(UsageError("--threshold must be positive".into()));
-                }
-                return Ok(Command::CheckRegression { file, threshold });
             }
             match (diff, files.len()) {
                 (false, 1) | (true, 2) => Ok(Command::Report { files }),
@@ -686,11 +609,6 @@ pub fn parse(args: &[&str]) -> Result<Command, UsageError> {
 fn parse_num(s: &str) -> Result<u64, UsageError> {
     s.replace('_', "")
         .parse()
-        .map_err(|_| UsageError(format!("not a number: {s}")))
-}
-
-fn parse_float(s: &str) -> Result<f64, UsageError> {
-    s.parse()
         .map_err(|_| UsageError(format!("not a number: {s}")))
 }
 
@@ -862,7 +780,6 @@ pub fn execute(cmd: Command) -> Result<u8, Box<dyn Error>> {
             threads,
             asmdb,
             cache_dir,
-            measure,
         } => {
             let mut builder = swip_bench::SessionBuilder::new()
                 .instructions(instructions)
@@ -875,19 +792,7 @@ pub fn execute(cmd: Command) -> Result<u8, Box<dyn Error>> {
                 builder = builder.cache_dir(dir);
             }
             let session = builder.build()?;
-            if measure {
-                let report = swip_bench::measure_throughput(&session);
-                let (path, entries) =
-                    swip_bench::append_measurement(&report, swip_bench::measure::THROUGHPUT_FILE)?;
-                println!(
-                    "appended entry {entries} to {}: {} instrs in {:.3} s \
-                     ({:.0} instrs/s aggregate)",
-                    path.display(),
-                    report.total_instructions,
-                    report.total_seconds,
-                    report.total_instrs_per_sec()
-                );
-            } else if !prefetchers.is_empty() {
+            if !prefetchers.is_empty() {
                 swip_bench::figures::run_prefetcher_sweep(&session, &prefetchers)?;
             } else {
                 swip_bench::figures::run_figure(&session, &figure)?;
@@ -901,39 +806,7 @@ pub fn execute(cmd: Command) -> Result<u8, Box<dyn Error>> {
                     .map_err(|e| UsageError(format!("{path}: {e}")))?)
             };
             match files.as_slice() {
-                [file] => {
-                    // `swip report` also summarizes throughput reports
-                    // (`swip bench --measure`); sniff the `kind` tag via
-                    // the shared JSON parser before assuming a run report.
-                    let text = std::fs::read_to_string(file)
-                        .map_err(|e| UsageError(format!("could not read {file}: {e}")))?;
-                    let sniff = swip_report::Json::parse(&text)
-                        .map_err(|e| UsageError(format!("{file}: {e}")))?;
-                    if swip_bench::ThroughputHistory::is_history_json(&sniff) {
-                        let history = swip_bench::ThroughputHistory::from_json(&sniff)
-                            .map_err(|e| UsageError(format!("{file}: {e}")))?;
-                        print!("{}", history.summary());
-                        match history.latest() {
-                            Some(latest) if latest.total_instrs_per_sec() > 0.0 => {}
-                            _ => {
-                                return Err(Box::new(UsageError(format!(
-                                    "{file}: throughput history is empty or has zero instrs/sec"
-                                ))))
-                            }
-                        }
-                    } else if swip_bench::ThroughputReport::is_throughput_json(&sniff) {
-                        let tp = swip_bench::ThroughputReport::from_json(&sniff)
-                            .map_err(|e| UsageError(format!("{file}: {e}")))?;
-                        print!("{}", tp.summary());
-                        if tp.total_instrs_per_sec() <= 0.0 {
-                            return Err(Box::new(UsageError(format!(
-                                "{file}: throughput report has zero instrs/sec"
-                            ))));
-                        }
-                    } else {
-                        print!("{}", load(file)?.summary());
-                    }
-                }
+                [file] => print!("{}", load(file)?.summary()),
                 [a, b] => {
                     // diff(1) exit convention: unreadable/unparsable
                     // input is 2, a real difference is 1.
@@ -951,52 +824,6 @@ pub fn execute(cmd: Command) -> Result<u8, Box<dyn Error>> {
                     }
                 }
                 _ => unreachable!("parse() enforces one or two files"),
-            }
-        }
-        Command::MigrateHistory { file } => match swip_bench::migrate_history_file(&file) {
-            Ok((entries, true)) => {
-                println!("migrated {file} to history schema v2 ({entries} entries)");
-            }
-            Ok((entries, false)) => {
-                println!("{file} is already a schema-v2 history ({entries} entries)");
-            }
-            Err(e) => {
-                eprintln!("error: could not migrate {file}: {e}");
-                return Ok(2);
-            }
-        },
-        Command::CheckRegression { file, threshold } => {
-            // diff(1)-style exit codes: 0 clean, 1 regression, 2
-            // unreadable — check.sh gates on this.
-            let text = match std::fs::read_to_string(&file) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("error: could not read {file}: {e}");
-                    return Ok(2);
-                }
-            };
-            let history = match swip_report::Json::parse(&text)
-                .map_err(|e| e.to_string())
-                .and_then(|json| swip_bench::ThroughputHistory::from_json(&json))
-            {
-                Ok(h) => h,
-                Err(e) => {
-                    eprintln!("error: {file}: {e}");
-                    return Ok(2);
-                }
-            };
-            let regressions = history.regressions(threshold);
-            if regressions.is_empty() {
-                println!(
-                    "{file}: no per-config regression above {threshold}% \
-                     ({} entries)",
-                    history.entries.len()
-                );
-            } else {
-                for r in &regressions {
-                    println!("regression: {r}");
-                }
-                return Ok(1);
             }
         }
         Command::Fleet {
@@ -1279,8 +1106,7 @@ mod tests {
                 stride: 1,
                 threads: None,
                 asmdb: swip_bench::AsmdbTuning::Default,
-                cache_dir: None,
-                measure: false
+                cache_dir: None
             })
         );
         assert_eq!(
@@ -1306,28 +1132,7 @@ mod tests {
                 stride: 16,
                 threads: Some(4),
                 asmdb: swip_bench::AsmdbTuning::Wide,
-                cache_dir: Some("/tmp/swip-cache".into()),
-                measure: false
-            })
-        );
-        assert_eq!(
-            parse(&[
-                "bench",
-                "--measure",
-                "--instructions",
-                "2_000",
-                "--stride",
-                "24"
-            ]),
-            Ok(Command::Bench {
-                figure: "all".into(),
-                prefetchers: vec![],
-                instructions: 2_000,
-                stride: 24,
-                threads: None,
-                asmdb: swip_bench::AsmdbTuning::Default,
-                cache_dir: None,
-                measure: true
+                cache_dir: Some("/tmp/swip-cache".into())
             })
         );
         // `--prefetcher` is repeatable, accepts dashes, and is validated
@@ -1350,39 +1155,12 @@ mod tests {
                 stride: 1,
                 threads: None,
                 asmdb: swip_bench::AsmdbTuning::Default,
-                cache_dir: None,
-                measure: false
+                cache_dir: None
             })
         );
         let err = parse(&["bench", "--prefetcher", "markov"]).unwrap_err();
         assert!(err.0.contains("markov"), "{err}");
         assert!(err.0.contains("shadow_btb"), "{err}");
-        assert_eq!(
-            parse(&["report", "--migrate-history", "h.json"]),
-            Ok(Command::MigrateHistory {
-                file: "h.json".into()
-            })
-        );
-        assert_eq!(
-            parse(&["report", "--check-regression", "h.json"]),
-            Ok(Command::CheckRegression {
-                file: "h.json".into(),
-                threshold: 25.0
-            })
-        );
-        assert_eq!(
-            parse(&[
-                "report",
-                "--check-regression",
-                "h.json",
-                "--threshold",
-                "10.5"
-            ]),
-            Ok(Command::CheckRegression {
-                file: "h.json".into(),
-                threshold: 10.5
-            })
-        );
         assert_eq!(
             parse(&[
                 "fleet",
@@ -1481,11 +1259,6 @@ mod tests {
         assert!(parse(&["serve", "--max-conns", "0"]).is_err());
         assert!(parse(&["serve", "--keep-alive-timeout", "0"]).is_err());
         assert!(parse(&["serve", "--bogus"]).is_err());
-        assert!(parse(&["report", "--diff", "--migrate-history", "h.json"]).is_err());
-        assert!(parse(&["report", "--migrate-history", "h.json", "extra"]).is_err());
-        assert!(parse(&["report", "--check-regression", "h.json", "x"]).is_err());
-        assert!(parse(&["report", "--threshold", "10", "h.json"]).is_err());
-        assert!(parse(&["report", "--check-regression", "h.json", "--threshold", "0"]).is_err());
         assert!(parse(&["fleet"]).is_err());
         assert!(parse(&["fleet", "stop"]).is_err());
         assert!(parse(&["fleet", "run"]).is_err());
@@ -1522,7 +1295,6 @@ mod tests {
             threads: None,
             asmdb: swip_bench::AsmdbTuning::Default,
             cache_dir: None,
-            measure: false,
         })
         .unwrap_err();
         assert!(err.to_string().contains("stride"), "{err}");
@@ -1676,133 +1448,6 @@ mod tests {
         assert!(err.to_string().contains("version"), "{err}");
         let _ = std::fs::remove_file(&a);
         let _ = std::fs::remove_file(&b);
-    }
-
-    #[test]
-    fn report_summarizes_throughput_json() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("swip_cli_throughput.json").display().to_string();
-        std::fs::write(
-            &path,
-            r#"{"version": 1, "kind": "swip-throughput", "instructions": 2000,
-                "stride": 24, "workloads": 2,
-                "configs": [{"config": "ftq2_fdp", "instructions": 4000,
-                             "cycles": 9000, "seconds": 0.01,
-                             "instrs_per_sec": 400000.0}],
-                "total_instructions": 4000, "total_seconds": 0.01,
-                "total_instrs_per_sec": 400000.0}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            execute(Command::Report {
-                files: vec![path.clone()],
-            })
-            .unwrap(),
-            0
-        );
-        // A throughput report that claims zero instrs/sec is an error,
-        // not a quiet success — check.sh depends on this.
-        std::fs::write(
-            &path,
-            r#"{"version": 1, "kind": "swip-throughput", "instructions": 2000,
-                "stride": 24, "workloads": 2, "configs": [],
-                "total_instructions": 0, "total_seconds": 0.0,
-                "total_instrs_per_sec": 0.0}"#,
-        )
-        .unwrap();
-        let err = execute(Command::Report {
-            files: vec![path.clone()],
-        })
-        .unwrap_err();
-        assert!(err.to_string().contains("zero instrs/sec"), "{err}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn history_migration_and_regression_gate_round_trip() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("swip_cli_history.json").display().to_string();
-        // Unreadable / unparsable → 2.
-        assert_eq!(
-            execute(Command::MigrateHistory {
-                file: "/no/such/history.json".into()
-            })
-            .unwrap(),
-            2
-        );
-        assert_eq!(
-            execute(Command::CheckRegression {
-                file: "/no/such/history.json".into(),
-                threshold: 25.0
-            })
-            .unwrap(),
-            2
-        );
-        std::fs::write(&path, "{}").unwrap();
-        assert_eq!(
-            execute(Command::CheckRegression {
-                file: path.clone(),
-                threshold: 25.0
-            })
-            .unwrap(),
-            2
-        );
-        // A bare v1 report migrates in place; a second migrate is a no-op;
-        // a single-entry history has nothing to regress against.
-        std::fs::write(
-            &path,
-            r#"{"version": 1, "kind": "swip-throughput", "instructions": 2000,
-                "stride": 24, "workloads": 2,
-                "configs": [{"config": "ftq2_fdp", "instructions": 4000,
-                             "cycles": 9000, "seconds": 0.01,
-                             "instrs_per_sec": 400000.0}],
-                "total_instructions": 4000, "total_seconds": 0.01,
-                "total_instrs_per_sec": 400000.0}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            execute(Command::MigrateHistory { file: path.clone() }).unwrap(),
-            0
-        );
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("swip-throughput-history"), "{text}");
-        assert_eq!(
-            execute(Command::MigrateHistory { file: path.clone() }).unwrap(),
-            0
-        );
-        assert_eq!(
-            execute(Command::CheckRegression {
-                file: path.clone(),
-                threshold: 25.0
-            })
-            .unwrap(),
-            0
-        );
-        // Append a 50%-slower entry: 25% gate trips (exit 1), a looser
-        // 60% gate does not.
-        let json = swip_report::Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let mut history = swip_bench::ThroughputHistory::from_json(&json).unwrap();
-        let mut slower = history.entries[0].clone();
-        slower.configs[0].instrs_per_sec = 200_000.0;
-        history.entries.push(slower);
-        std::fs::write(&path, history.to_json().render_pretty()).unwrap();
-        assert_eq!(
-            execute(Command::CheckRegression {
-                file: path.clone(),
-                threshold: 25.0
-            })
-            .unwrap(),
-            1
-        );
-        assert_eq!(
-            execute(Command::CheckRegression {
-                file: path.clone(),
-                threshold: 60.0
-            })
-            .unwrap(),
-            0
-        );
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -14,10 +14,21 @@ cargo clippy --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> smoke: swip bench --instructions 20000 --stride 16"
+echo "==> perfbench self-tests (its own workspace; tier-1 never builds it)"
+# perfbench calls the crates' APIs directly, so an API change that breaks
+# it must fail here rather than only when the benchmark runs.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> smoke: swip bench --instructions 100000 --stride 16 --threads 4"
+# At 100k AsmDB inserts prefetches on all three workloads; at 50k two of
+# them still get none, so their AsmDB columns equal the baselines and the
+# --predict-vs and determinism gates below would compare nothing there.
+# Four threads make jobs of one workload overlap, so the determinism gate
+# also covers the session's shared trace and AsmDB memos.
+smoke_flags="--instructions 100000 --stride 16 --threads 4"
 rm -rf target/experiments
 start=$(date +%s)
-cargo run -p swip-cli --release --quiet -- bench --instructions 20000 --stride 16
+cargo run -p swip-cli --release --quiet -- bench $smoke_flags
 echo "smoke run took $(($(date +%s) - start))s"
 for f in fig1 fig7 fig8 fig9 fig10 fig11 scenarios; do
     tsv="target/experiments/$f.tsv"
@@ -27,6 +38,20 @@ for f in fig1 fig7 fig8 fig9 fig10 fig11 scenarios; do
     fi
 done
 echo "all 7 figure TSVs present and non-empty"
+
+# Every paper configuration must do work of its own at this scale: per
+# workload, AsmDB moves off the conservative baseline (1.0000), and the
+# no-overhead and FDP variants each differ from the column they extend.
+fig1="target/experiments/fig1.tsv"
+rows=$(awk -F'\t' 'NR > 1 && $1 != "geomean"' "$fig1" | wc -l)
+same=$(awk -F'\t' 'NR > 1 && $1 != "geomean" &&
+    ($2 == "1.0000" || $3 == $2 || $5 == $4 || $6 == $5) { print $1 }' "$fig1")
+if [ "$rows" -eq 0 ] || [ -n "$same" ]; then
+    echo "FAIL: $fig1 has no workload rows, or a paper configuration equals the one" \
+        "it extends in: $(echo $same)" >&2
+    exit 1
+fi
+echo "all six paper configurations differ on each of the $rows fig1 workloads"
 
 report="target/experiments/report.json"
 if ! [ -s "$report" ]; then
@@ -41,7 +66,19 @@ echo "==> swip analyze --predict-vs (static prediction vs measured counters)"
 # The smoke report embeds each workload's predicted coverage; the diff
 # against the measured prefetch counters must stay within the default
 # divergence threshold (DESIGN.md §14).
-cargo run -p swip-cli --release --quiet -- analyze --predict-vs "$report"
+predict_log="target/predict-vs.log"
+if ! cargo run -p swip-cli --release --quiet -- analyze --predict-vs "$report" \
+    >"$predict_log"; then
+    cat "$predict_log"
+    echo "FAIL: coverage predictions diverge from the measured counters" >&2
+    exit 1
+fi
+cat "$predict_log"
+# Not vacuous: a workload whose plan inserts nothing compares 0 with 0.
+if grep -q 'executions 0 predicted' "$predict_log"; then
+    echo "FAIL: a workload has no predicted prefetch executions; the gate compared nothing" >&2
+    exit 1
+fi
 echo "coverage predictions within threshold of measured counters"
 
 echo "==> swip analyze --coverage over a generated corpus"
@@ -91,27 +128,37 @@ if [ "$code" -ne 2 ]; then
 fi
 echo "report --diff follows the diff(1) exit convention"
 
-echo "==> determinism: run fig1 twice at 100k instructions and byte-compare"
-# At 100k AsmDB plans insertions, so the AsmDB columns depend on how
-# equally ranked insertion sites are chosen; at 20k they equal the
-# baselines and a hash-order tie-break could not show.
-cargo run -p swip-cli --release --quiet -- bench --figure fig1 \
-    --instructions 100000 --stride 16 >/dev/null
-cp target/experiments/fig1.tsv target/fig1.first.tsv
-cargo run -p swip-cli --release --quiet -- bench --figure fig1 \
-    --instructions 100000 --stride 16 >/dev/null
-if ! cmp -s target/fig1.first.tsv target/experiments/fig1.tsv; then
-    echo "FAIL: fig1.tsv changed between identical runs" >&2
+echo "==> determinism: re-run the smoke sweep and byte-compare every output"
+# target/experiments still holds the smoke sweep's output. Every TSV must
+# match it byte for byte, and so must report.json apart from its
+# wall-clock job_seconds lines: that covers AsmDB's plans (how equally
+# ranked insertion sites are chosen) and the session's cache counters
+# (how overlapping jobs share the memos).
+first="target/determinism-first"
+rm -rf "$first"
+cp -R target/experiments "$first"
+cargo run -p swip-cli --release --quiet -- bench $smoke_flags >/dev/null
+for tsv in "$first"/*.tsv; do
+    if ! cmp -s "$tsv" "target/experiments/$(basename "$tsv")"; then
+        echo "FAIL: $(basename "$tsv") changed between identical runs" >&2
+        exit 1
+    fi
+done
+grep -v '"job_seconds"' "$first/report.json" >"$first/report.stable.json"
+grep -v '"job_seconds"' "$report" >target/report.stable.json
+if ! cmp -s "$first/report.stable.json" target/report.stable.json; then
+    echo "FAIL: report.json (without job_seconds) changed between identical runs" >&2
+    diff "$first/report.stable.json" target/report.stable.json >&2 || true
     exit 1
 fi
 # Not vacuous: some AsmDB+FDP cell (column 5) differs from its FDP24 cell
 # (column 4), so the compared bytes carry AsmDB's plans.
-if ! awk -F'\t' 'NR > 1 && $4 != $5 { d = 1 } END { exit !d }' target/fig1.first.tsv; then
+if ! awk -F'\t' 'NR > 1 && $4 != $5 { d = 1 } END { exit !d }' "$first/fig1.tsv"; then
     echo "FAIL: every AsmDB+FDP cell equals FDP24; the determinism gate is vacuous" >&2
     exit 1
 fi
-rm -f target/fig1.first.tsv
-echo "figure output is byte-stable across runs, AsmDB columns included"
+rm -rf "$first" target/report.stable.json
+echo "every TSV and report.json are byte-stable across runs, AsmDB columns included"
 
 echo "==> smoke: every registered experiment (swip bench --figure NAME)"
 # The names come from the unknown-figure error, which lists the registry,
@@ -168,71 +215,6 @@ cargo run -p swip-cli --release --quiet -- report "$report"
 # And the pre-refactor schema-v1 fixture must keep loading (back-compat gate).
 cargo run -p swip-cli --release --quiet -- report tests/fixtures/report_v1.json
 echo "prefetcher zoo TSV well-formed ($workloads workloads x 4 mechanisms); v1 report still loads"
-
-echo "==> smoke: swip bench --measure (throughput history harness)"
-# Run from target/ so the smoke measurement does not clobber the tracked
-# BENCH_throughput.json at the repo root (that one is the full sweep).
-# Two runs: --measure appends to a schema-v2 history, so the second run
-# must grow the entries array rather than overwrite the first.
-# 20k instructions (not 2k): the per-config regression gate below
-# compares the two entries, and tiny sweeps are too noisy for a 25% gate.
-rm -f target/BENCH_throughput.json
-(cd target && cargo run -p swip-cli --release --quiet -- bench --measure \
-    --instructions 20000 --stride 24)
-(cd target && cargo run -p swip-cli --release --quiet -- bench --measure \
-    --instructions 20000 --stride 24)
-if ! [ -s target/BENCH_throughput.json ]; then
-    echo "FAIL: target/BENCH_throughput.json missing or empty" >&2
-    exit 1
-fi
-entries=$(grep -c '"total_instrs_per_sec"' target/BENCH_throughput.json)
-if [ "$entries" -ne 2 ]; then
-    echo "FAIL: expected 2 history entries after 2 measure runs, got $entries" >&2
-    exit 1
-fi
-# swip report parses the file with the swip-report JSON parser and exits
-# nonzero on malformed schema or zero instrs/sec.
-cargo run -p swip-cli --release --quiet -- report target/BENCH_throughput.json
-echo "throughput history present, well-formed, 2 entries after 2 runs"
-
-echo "==> swip report --check-regression (per-config throughput gate)"
-# Two identical back-to-back sweeps must not differ by >25% per config;
-# a bigger drop means the simulator hot path genuinely regressed.
-cargo run -p swip-cli --release --quiet -- report \
-    --check-regression target/BENCH_throughput.json
-# The tracked history at the repo root is gated too (its newest entry
-# against the one before it; a single-entry history passes vacuously).
-cargo run -p swip-cli --release --quiet -- report \
-    --check-regression BENCH_throughput.json
-# Exit-code contract: a fabricated 50% drop must trip the default gate.
-regress_dir="target/regression-gate"
-rm -rf "$regress_dir"
-mkdir -p "$regress_dir"
-cat >"$regress_dir/slow.json" <<'EOF'
-{"version": 2, "kind": "swip-throughput-history", "entries": [
-  {"version": 1, "kind": "swip-throughput", "instructions": 2000,
-   "stride": 24, "workloads": 2,
-   "configs": [{"config": "ftq2_fdp", "instructions": 4000, "cycles": 9000,
-                "seconds": 0.01, "instrs_per_sec": 400000.0}],
-   "total_instructions": 4000, "total_seconds": 0.01,
-   "total_instrs_per_sec": 400000.0},
-  {"version": 1, "kind": "swip-throughput", "instructions": 2000,
-   "stride": 24, "workloads": 2,
-   "configs": [{"config": "ftq2_fdp", "instructions": 4000, "cycles": 9000,
-                "seconds": 0.02, "instrs_per_sec": 200000.0}],
-   "total_instructions": 4000, "total_seconds": 0.02,
-   "total_instrs_per_sec": 200000.0}]}
-EOF
-set +e
-cargo run -p swip-cli --release --quiet -- report \
-    --check-regression "$regress_dir/slow.json" >/dev/null
-code=$?
-set -e
-if [ "$code" -ne 1 ]; then
-    echo "FAIL: a collapsed instrs/sec must exit 1 (got $code)" >&2
-    exit 1
-fi
-echo "regression gate clean; fabricated collapse exits 1"
 
 echo "==> smoke: swip serve (keep-alive probe, connection flood, graceful drain)"
 cargo build -q --release -p swip-cli -p swip-serve
