@@ -10,7 +10,6 @@ use std::fs;
 use std::io;
 use std::path::PathBuf;
 
-use swip_asmdb::Cfg;
 use swip_report::{ConfigReport, RunReport, WorkloadReport};
 
 use crate::{ConfigId, Session, WorkloadResults};
@@ -46,32 +45,18 @@ fn workload_report(session: &Session, r: &WorkloadResults, job_seconds: f64) -> 
     }
 }
 
-/// Statically evaluates the session's AsmDB plan for `workload` with
-/// `swip-analyze`'s coverage rules (DESIGN.md §14), returning the
-/// [`PredictedCoverage`](swip_analyze::PredictedCoverage) counter pairs.
-///
-/// Fully deterministic — the plan, trace, and CFG are all memoized session
-/// artifacts — so both report flavors can embed it without breaking the
-/// byte-identity contract of [`build_plan_report`]. Empty when `workload`
-/// is not in the session's suite.
-pub fn predicted_coverage(session: &Session, workload: &str) -> Vec<(String, u64)> {
-    let Some(spec) = session.workloads().into_iter().find(|w| w.name == workload) else {
-        return Vec::new();
-    };
-    let trace = session.trace(&spec);
-    let out = session.asmdb(&spec);
-    let cfg = Cfg::from_trace(&trace);
-    let entry = trace
-        .instructions()
-        .first()
-        .and_then(|i| cfg.block_of(i.pc));
-    let eval = swip_analyze::evaluate_plan(
-        &cfg,
-        entry,
-        &out.plan,
-        &swip_analyze::CoverageConfig::default(),
-    );
-    eval.coverage.counter_pairs()
+/// The [`PredictedCoverage`](swip_analyze::PredictedCoverage) counter
+/// pairs of the session's AsmDB plan for `workload`, evaluated once per
+/// session ([`Session::plan_coverage`]). Empty when `workload` is not in
+/// the session's suite.
+fn predicted_coverage(session: &Session, workload: &str) -> Vec<(String, u64)> {
+    session
+        .workloads()
+        .iter()
+        .find(|w| w.name == workload)
+        .map_or_else(Vec::new, |spec| {
+            session.plan_coverage(spec).coverage.counter_pairs()
+        })
 }
 
 /// The flattened session cache/work counters, as stored in a

@@ -1,12 +1,14 @@
 //! The redesigned experiment-session API: [`SessionBuilder`] → [`Session`].
 //!
 //! A `Session` owns the scale knobs (instructions, stride), the AsmDB
-//! tuning, the thread count, and two memoization layers:
+//! tuning, the thread count, and three memoization layers:
 //!
 //! * generated [`Trace`]s, keyed by workload name (optionally persisted to
-//!   a cache directory in the `SWIP` binary format), and
+//!   a cache directory in the `SWIP` binary format),
 //! * AsmDB pipeline outputs ([`AsmdbOutput`]: profile, plan, rewritten
-//!   trace, hints), keyed by workload name.
+//!   trace, hints), keyed by workload name, and
+//! * the static coverage evaluation of each AsmDB plan
+//!   ([`PlanEvaluation`]), keyed by workload name.
 //!
 //! Because every (workload, configuration) job goes through these memos,
 //! an [`ExperimentPlan`](crate::ExperimentPlan) with all six paper
@@ -21,7 +23,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use swip_asmdb::{Asmdb, AsmdbConfig, AsmdbOutput};
+use swip_analyze::{evaluate_plan, CoverageConfig, PlanEvaluation};
+use swip_asmdb::{Asmdb, AsmdbConfig, AsmdbOutput, Cfg, Plan};
 use swip_cache::ConfigError;
 use swip_core::{SimConfig, SimReport, Simulator};
 use swip_trace::Trace;
@@ -187,6 +190,7 @@ impl SessionBuilder {
             cache_dir: self.cache_dir,
             traces: Memo::new(),
             asmdb_outs: Memo::new(),
+            coverage: Memo::new(),
             counters: AtomicCounters::default(),
         })
     }
@@ -275,6 +279,7 @@ pub struct Session {
     cache_dir: Option<PathBuf>,
     traces: Memo<Trace>,
     asmdb_outs: Memo<AsmdbOutput>,
+    coverage: Memo<PlanEvaluation>,
     counters: AtomicCounters,
 }
 
@@ -357,6 +362,32 @@ impl Session {
                 self.counters.asmdb_profiles.fetch_add(1, Ordering::Relaxed);
                 Asmdb::new(self.asmdb_config.clone()).run(&trace, &SimConfig::conservative())
             },
+        )
+    }
+
+    /// Evaluates `plan` on the CFG of `spec`'s trace with the static
+    /// coverage rules (DESIGN.md §14), entering at the first instruction.
+    pub fn evaluate_plan(&self, spec: &WorkloadSpec, plan: &Plan) -> PlanEvaluation {
+        let trace = self.trace(spec);
+        let cfg = Cfg::from_trace(&trace);
+        let entry = trace
+            .instructions()
+            .first()
+            .and_then(|i| cfg.block_of(i.pc));
+        evaluate_plan(&cfg, entry, plan, &CoverageConfig::default())
+    }
+
+    /// [`Session::evaluate_plan`] of the session's own AsmDB plan for
+    /// `spec`, made at most once per session: the run report embeds its
+    /// predicted coverage and `swip serve` admission checks its fatal
+    /// rules. Its lookups are counted in no [`SessionCounters`] field, so
+    /// the report's session block does not depend on how often a report
+    /// was built.
+    pub fn plan_coverage(&self, spec: &WorkloadSpec) -> Arc<PlanEvaluation> {
+        self.coverage.get_or_init(
+            &spec.name,
+            || {},
+            || self.evaluate_plan(spec, &self.asmdb(spec).plan),
         )
     }
 

@@ -100,7 +100,7 @@ pub struct Prediction {
 }
 
 /// Counters reported by the branch unit.
-#[derive(Copy, Clone, Debug, Default)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct BranchStats {
     /// Conditional direction prediction accuracy (resolved branches).
     pub direction: Ratio,

@@ -29,7 +29,7 @@ impl Way {
 }
 
 /// Per-level access statistics.
-#[derive(Copy, Clone, Debug, Default)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct CacheStats {
     /// Demand accesses (hit or miss).
     pub demand: Ratio,

@@ -30,7 +30,7 @@ pub struct AccessResult {
 }
 
 /// Aggregate hierarchy statistics beyond the per-level cache counters.
-#[derive(Copy, Clone, Debug, Default)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct HierarchyStats {
     /// Instruction fetches satisfied by the L1-I.
     pub instr_l1_hits: Counter,

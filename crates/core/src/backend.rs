@@ -57,7 +57,7 @@ impl BackendConfig {
 }
 
 /// Backend statistics.
-#[derive(Copy, Clone, Debug, Default)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct BackendStats {
     /// Instructions retired.
     pub retired: Counter,
@@ -308,6 +308,57 @@ impl Backend {
 
         if self.free_slots() == 0 {
             self.stats.rob_full_cycles.incr();
+        }
+    }
+
+    /// The earliest cycle, at or after `now`, at which [`Backend::cycle`]
+    /// would issue, complete or retire an instruction, or `None` when the
+    /// ROB is empty. Dispatch is the front-end's to report.
+    ///
+    /// A waiting instruction can issue once its dispatch latency has
+    /// passed and its sources are ready; both are fixed until something
+    /// else issues, which is itself an event.
+    pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
+        if self.rob.front()?.state == SlotState::Done {
+            return Some(now);
+        }
+        let completions = self.executing.iter().map(|&seq| {
+            let SlotState::Executing { done } = self.rob[self.slot_index(seq)].state else {
+                unreachable!("executing index out of sync with rob state");
+            };
+            done
+        });
+        let issues = self.waiting.iter().map(|&seq| {
+            let slot = &self.rob[self.slot_index(seq)];
+            slot.instr
+                .srcs
+                .iter()
+                .flatten()
+                .map(|r| self.reg_ready[r.index()])
+                .fold(
+                    slot.dispatched_at + self.config.dispatch_latency,
+                    Cycle::max,
+                )
+        });
+        let mut next = Cycle::MAX;
+        for at in completions.chain(issues) {
+            if at <= now {
+                return Some(now); // busy: no need to look further
+            }
+            next = next.min(at);
+        }
+        Some(next)
+    }
+
+    /// Accounts `cycles` cycles in which [`Backend::cycle`] would do
+    /// nothing (see [`Backend::next_event`]) as calling it once per cycle
+    /// would: they add only to the issue-idle and ROB-full counters.
+    pub fn skip_idle(&mut self, cycles: u64) {
+        if !self.waiting.is_empty() {
+            self.stats.issue_idle_cycles.add(cycles);
+        }
+        if self.free_slots() == 0 {
+            self.stats.rob_full_cycles.add(cycles);
         }
     }
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use swip_cache::MemoryHierarchy;
 use swip_frontend::{Frontend, HintTable, PreloadConfig};
 use swip_trace::Trace;
-use swip_types::{Addr, InstrKind};
+use swip_types::{Addr, Cycle, InstrKind};
 
 use crate::{Backend, SimConfig, SimReport};
 
@@ -138,6 +138,25 @@ impl Simulator {
         let mut completed = true;
 
         while !(frontend.is_done(trace) && backend.is_empty()) {
+            // Jump over the cycles in which neither side would do more
+            // than count them (DESIGN.md §13), never past the watchdog.
+            let front = frontend
+                .next_event(now, trace, backend.free_slots())
+                .unwrap_or(Cycle::MAX);
+            if front > now {
+                let next = front
+                    .min(backend.next_event(now).unwrap_or(Cycle::MAX))
+                    .min(watchdog);
+                if next > now {
+                    frontend.skip_idle(now, next);
+                    backend.skip_idle(next - now);
+                    now = next;
+                    if now >= watchdog {
+                        completed = false;
+                        break;
+                    }
+                }
+            }
             decoded.clear();
             frontend.cycle(now, trace, &mut mem, backend.free_slots(), &mut decoded);
             for d in &decoded {

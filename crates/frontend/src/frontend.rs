@@ -272,8 +272,51 @@ impl Frontend {
         // instantly (aliasing an already-fetched line) are still pre-decoded
         // before they can reach decode — promotion is gated on it.
         self.predecode(now, trace, mem);
-        self.account(now);
+        self.account(now, 1);
         self.promote(now, decode_budget, out);
+    }
+
+    /// The earliest cycle, at or after `now`, at which [`Frontend::cycle`]
+    /// with this `decode_budget` would do more than count the cycle, or
+    /// `None` if only a branch resolution can wake the front-end.
+    ///
+    /// `now` itself is returned while fill can run or is due to unblock,
+    /// a line fetch is pending, the prefetcher's tick is due, or the head
+    /// can be promoted. Otherwise the events are the completion of an
+    /// entry not yet pre-decoded, the end of a redirect penalty, and the
+    /// prefetcher's [`next_tick`](InstructionPrefetcher::next_tick).
+    pub fn next_event(&self, now: Cycle, trace: &Trace, decode_budget: usize) -> Option<Cycle> {
+        let unblock = match self.blocked {
+            Some(Blocked::UntilCycle { at }) => Some(at),
+            Some(_) => None,
+            None if !self.ftq.is_full() && cursor_in_bounds(self.cursor, trace.len()) => {
+                return Some(now)
+            }
+            None => None,
+        };
+        let promotes = self.ftq.head().is_some_and(|h| h.predecoded)
+            && self.config.decode_width.min(decode_budget) > 0;
+        // MSHR-full retries keep a pending line busy: each counts a stall.
+        if self.pending_lines > 0 || promotes {
+            return Some(now);
+        }
+        self.ftq
+            .iter()
+            .filter(|e| !e.predecoded)
+            .filter_map(FtqEntry::completion_cycle)
+            .chain(unblock)
+            .chain(self.prefetcher.next_tick())
+            .min()
+            .map(|at| at.max(now))
+    }
+
+    /// Accounts the cycles `[from, to)` in bulk, as calling
+    /// [`Frontend::cycle`] once per cycle would, when
+    /// [`Frontend::next_event`] at `from` is `to` or later: nothing happens
+    /// in them but the per-cycle counters, the head-stall flags and the
+    /// timeline samples.
+    pub fn skip_idle(&mut self, from: Cycle, to: Cycle) {
+        self.account(from, to - from);
     }
 
     /// Feeds a resolved branch back into the front-end: predictor training
@@ -549,27 +592,28 @@ impl Frontend {
         }
     }
 
-    /// Classifies the FTQ state for this cycle and maintains the Fig-9/10
+    /// Classifies the FTQ state for the `cycles` cycles starting at `now`,
+    /// through which it holds unchanged, and maintains the Fig-9/10
     /// counters.
-    fn account(&mut self, now: Cycle) {
-        self.stats.cycles.incr();
+    fn account(&mut self, now: Cycle, cycles: u64) {
+        self.stats.cycles.add(cycles);
         if self.blocked.is_some() {
-            self.stats.fill_blocked_cycles.incr();
+            self.stats.fill_blocked_cycles.add(cycles);
         }
         let scenario = self.scenario(now);
         if let Some(timeline) = self.timeline.as_mut() {
-            timeline.record(now, scenario);
+            timeline.record_span(now, cycles, scenario);
         }
         match scenario {
-            Scenario::Empty => self.stats.empty_cycles.incr(),
-            Scenario::ShootThrough => self.stats.s1_cycles.incr(),
+            Scenario::Empty => self.stats.empty_cycles.add(cycles),
+            Scenario::ShootThrough => self.stats.s1_cycles.add(cycles),
             Scenario::StallingHead => {
-                self.stats.s2_cycles.incr();
-                self.note_head_stall(now);
+                self.stats.s2_cycles.add(cycles);
+                self.note_head_stall(now, cycles);
             }
             Scenario::ShadowStall => {
-                self.stats.s3_cycles.incr();
-                self.note_head_stall(now);
+                self.stats.s3_cycles.add(cycles);
+                self.note_head_stall(now, cycles);
             }
         }
         // Runtime mirrors of the static rule catalog (DESIGN.md §8), active
@@ -595,8 +639,8 @@ impl Frontend {
         }
     }
 
-    fn note_head_stall(&mut self, now: Cycle) {
-        self.stats.head_stall_cycles.incr();
+    fn note_head_stall(&mut self, now: Cycle, cycles: u64) {
+        self.stats.head_stall_cycles.add(cycles);
         let mut iter = self.ftq.entries.iter_mut();
         if let Some(head) = iter.next() {
             head.stalled_at_head = true;
@@ -607,7 +651,7 @@ impl Frontend {
                 // Cycle-sum semantics (Fig 10): every cycle an entry spends
                 // fetch-complete behind a stalling head counts.
                 e.counted_waiting = true;
-                self.stats.entries_waiting_on_head.incr();
+                self.stats.entries_waiting_on_head.add(cycles);
             }
         }
     }

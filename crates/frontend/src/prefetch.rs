@@ -23,6 +23,11 @@
 //! 4. **`tick`** — once per cycle, after fetch issue. Latency-delayed
 //!    work (metadata arrivals, replay queues) drains here.
 //!
+//! The simulation loop skips cycles in which nothing but counting would
+//! happen, so `tick` is not called on every cycle: a mechanism with
+//! latency-delayed work must report the cycle it falls due through
+//! **`next_tick`**, or the loop may jump past it.
+//!
 //! Implementations may touch only their own state plus the arguments each
 //! hook hands them; the per-cycle hooks must be allocation-free in steady
 //! state (pinned by the counting-allocator test in `swip-tests`).
@@ -67,6 +72,14 @@ pub trait InstructionPrefetcher: Send {
     /// metadata arrivals and fire their prefetches.
     fn tick(&mut self, now: Cycle, mem: &mut MemoryHierarchy, stats: &mut FtqStats) {
         let _ = (now, mem, stats);
+    }
+
+    /// The earliest cycle at which [`tick`](Self::tick) would do anything,
+    /// or `None` if it has nothing pending. A `tick` at any earlier cycle
+    /// must change no state and fire nothing, because the simulation loop
+    /// may skip those cycles without calling it.
+    fn next_tick(&self) -> Option<Cycle> {
+        None
     }
 
     /// Observes one instruction the fill engine walks past (called before
@@ -311,6 +324,14 @@ impl InstructionPrefetcher for PreloadPrefetcher {
         self.ready = ready;
     }
 
+    /// The earliest outstanding metadata arrival.
+    fn next_tick(&self) -> Option<Cycle> {
+        if !self.enabled {
+            return None;
+        }
+        self.pending.values().min().copied()
+    }
+
     fn snapshot(&self) -> PrefetcherSnapshot {
         PrefetcherSnapshot {
             trained: 0,
@@ -509,6 +530,14 @@ impl InstructionPrefetcher for ManaPrefetcher {
             }
             *slot = None;
         }
+    }
+
+    /// The earliest in-flight replay's arrival.
+    fn next_tick(&self) -> Option<Cycle> {
+        if !self.enabled {
+            return None;
+        }
+        self.replays.iter().flatten().map(|r| r.ready).min()
     }
 
     fn snapshot(&self) -> PrefetcherSnapshot {

@@ -32,7 +32,7 @@ pub enum Scenario {
 ///   before their fetch completed (Fig 11).
 /// * `head_fetch_cycles` / `nonhead_fetch_cycles` — per-entry fetch latency,
 ///   bucketed by whether the entry ever stalled the head (Fig 8).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct FtqStats {
     /// Total front-end cycles observed.
     pub cycles: Counter,

@@ -96,6 +96,16 @@ impl ScenarioTimeline {
         self.samples.push_back(TimelineSample { cycle, scenario });
     }
 
+    /// Offers the same classification for each of the `cycles` cycles
+    /// starting at `start`, as that many [`record`](Self::record) calls
+    /// would, visiting only the stride boundaries.
+    pub fn record_span(&mut self, start: Cycle, cycles: u64, scenario: Scenario) {
+        let first = start.next_multiple_of(self.config.stride);
+        for cycle in (first..start + cycles).step_by(self.config.stride as usize) {
+            self.record(cycle, scenario);
+        }
+    }
+
     /// Retained samples, oldest first.
     pub fn samples(&self) -> impl Iterator<Item = &TimelineSample> {
         self.samples.iter()
@@ -167,6 +177,36 @@ mod tests {
         t.record(1, Scenario::ShadowStall);
         assert_eq!(t.len(), 1);
         assert_eq!(t.samples().next().unwrap().scenario, Scenario::ShadowStall);
+    }
+
+    #[test]
+    fn a_span_records_as_its_cycles_would_one_by_one() {
+        let config = TimelineConfig {
+            stride: 7,
+            capacity: 5,
+        };
+        let spans = [
+            (0, 3, Scenario::Empty),
+            (3, 1, Scenario::ShootThrough),
+            (4, 40, Scenario::StallingHead),
+            (44, 6, Scenario::ShootThrough),
+            (50, 0, Scenario::Empty),
+            (50, 13, Scenario::ShadowStall),
+        ];
+        let mut bulk = ScenarioTimeline::new(config);
+        let mut each = ScenarioTimeline::new(config);
+        for (start, cycles, scenario) in spans {
+            bulk.record_span(start, cycles, scenario);
+            for c in start..start + cycles {
+                each.record(c, scenario);
+            }
+        }
+        assert!(each.dropped() > 0, "the spans must overflow the capacity");
+        assert_eq!(bulk.dropped(), each.dropped());
+        assert_eq!(
+            bulk.samples().collect::<Vec<_>>(),
+            each.samples().collect::<Vec<_>>()
+        );
     }
 
     #[test]

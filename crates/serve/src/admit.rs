@@ -9,8 +9,10 @@
 //!   evaluated verbatim on every submission (they are the client's claim,
 //!   so they change per request); and
 //! * the **session's own AsmDB plan**, when the job will run an AsmDB
-//!   configuration — memoized per workload, since the session's plans are
-//!   immutable for the life of the process.
+//!   configuration — evaluated once per workload by
+//!   [`Session::plan_coverage`], which the run report's predicted
+//!   coverage shares, since the session's plans are immutable for the
+//!   life of the process.
 //!
 //! A plan tripping a *fatal* rule (`D001`: the prefetch provably can never
 //! fire usefully) is rejected with HTTP 400 and the rule ids before it
@@ -19,11 +21,10 @@
 //! clobbering) only shape the report's predicted coverage; they never
 //! refuse a job.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::Mutex;
+use std::collections::HashSet;
 
-use swip_analyze::CoverageConfig;
-use swip_asmdb::{Cfg, Insertion, Plan};
+use swip_analyze::PlanEvaluation;
+use swip_asmdb::{Insertion, Plan};
 use swip_bench::{ExperimentPlan, Session};
 use swip_report::InsertionSpec;
 use swip_types::Addr;
@@ -39,82 +40,51 @@ pub(crate) struct AdmissionRejection {
     pub rules: Vec<String>,
 }
 
-/// Admission state: the per-workload memo of the session plan's verdict.
-#[derive(Default)]
-pub(crate) struct AdmissionCache {
-    session_plan_rules: Mutex<HashMap<String, Vec<String>>>,
-}
-
-impl AdmissionCache {
-    /// Statically admits `plan` (plus any custom `insertions`) against
-    /// every selected workload.
-    ///
-    /// # Errors
-    ///
-    /// The first [`AdmissionRejection`], in the plan's workload order.
-    pub fn admit(
-        &self,
-        session: &Session,
-        plan: &ExperimentPlan,
-        insertions: &[InsertionSpec],
-    ) -> Result<(), AdmissionRejection> {
-        if insertions.is_empty() && !plan.wants_asmdb() {
-            return Ok(()); // nothing prefetches; nothing to refute
-        }
-        let custom = (!insertions.is_empty()).then(|| custom_plan(insertions));
-        for spec in plan.workloads() {
-            if let Some(custom) = &custom {
-                let rules = fatal_rules(session, spec, custom);
-                if !rules.is_empty() {
-                    return Err(AdmissionRejection {
-                        workload: spec.name.clone(),
-                        what: "custom insertions",
-                        rules,
-                    });
-                }
-            }
-            if plan.wants_asmdb() {
-                let cached = self
-                    .session_plan_rules
-                    .lock()
-                    .unwrap()
-                    .get(&spec.name)
-                    .cloned();
-                let rules = match cached {
-                    Some(rules) => rules,
-                    None => {
-                        let out = session.asmdb(spec);
-                        let rules = fatal_rules(session, spec, &out.plan);
-                        self.session_plan_rules
-                            .lock()
-                            .unwrap()
-                            .insert(spec.name.clone(), rules.clone());
-                        rules
-                    }
-                };
-                if !rules.is_empty() {
-                    return Err(AdmissionRejection {
-                        workload: spec.name.clone(),
-                        what: "session plan",
-                        rules,
-                    });
-                }
-            }
-        }
-        Ok(())
+/// Statically admits `plan` (plus any custom `insertions`) against every
+/// selected workload.
+///
+/// # Errors
+///
+/// The first [`AdmissionRejection`], in the plan's workload order.
+pub(crate) fn admit(
+    session: &Session,
+    plan: &ExperimentPlan,
+    insertions: &[InsertionSpec],
+) -> Result<(), AdmissionRejection> {
+    if insertions.is_empty() && !plan.wants_asmdb() {
+        return Ok(()); // nothing prefetches; nothing to refute
     }
+    let custom = (!insertions.is_empty()).then(|| custom_plan(insertions));
+    for spec in plan.workloads() {
+        if let Some(custom) = &custom {
+            refute(
+                spec,
+                "custom insertions",
+                &session.evaluate_plan(spec, custom),
+            )?;
+        }
+        if plan.wants_asmdb() {
+            refute(spec, "session plan", &session.plan_coverage(spec))?;
+        }
+    }
+    Ok(())
 }
 
-/// Evaluates `plan` on `spec`'s CFG and returns the fatal rule ids.
-fn fatal_rules(session: &Session, spec: &WorkloadSpec, plan: &Plan) -> Vec<String> {
-    let trace = session.trace(spec);
-    let cfg = Cfg::from_trace(&trace);
-    let entry = trace
-        .instructions()
-        .first()
-        .and_then(|i| cfg.block_of(i.pc));
-    let eval = swip_analyze::evaluate_plan(&cfg, entry, plan, &CoverageConfig::default());
-    eval.fatal_rules().iter().map(|r| r.to_string()).collect()
+/// Rejects `what` on `spec` if its evaluation trips a fatal rule.
+fn refute(
+    spec: &WorkloadSpec,
+    what: &'static str,
+    eval: &PlanEvaluation,
+) -> Result<(), AdmissionRejection> {
+    let rules = eval.fatal_rules();
+    if rules.is_empty() {
+        return Ok(());
+    }
+    Err(AdmissionRejection {
+        workload: spec.name.clone(),
+        what,
+        rules: rules.iter().map(|r| r.to_string()).collect(),
+    })
 }
 
 /// Lifts wire [`InsertionSpec`]s into an AsmDB [`Plan`] the evaluator

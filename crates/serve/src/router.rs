@@ -84,7 +84,7 @@ fn submit(ctx: &Arc<ServeContext>, req: &Request) -> Response {
     };
     // Static coverage admission (family D): a plan whose prefetches are
     // provably dead is refused before it can occupy queue capacity.
-    if let Err(r) = ctx.admission.admit(&ctx.session, &plan, &spec.insertions) {
+    if let Err(r) = crate::admit::admit(&ctx.session, &plan, &spec.insertions) {
         let obj = Json::Obj(vec![
             (
                 "error".to_string(),

@@ -18,7 +18,6 @@ use std::time::{Duration, Instant};
 
 use swip_bench::Session;
 
-use crate::admit::AdmissionCache;
 use crate::conn::{CloseReason, Conn};
 use crate::http::Response;
 use crate::job::{JobRegistry, JobState};
@@ -78,7 +77,6 @@ pub struct ServeContext {
     pub(crate) session: Session,
     pub(crate) queue: BoundedQueue<QueuedJob>,
     pub(crate) registry: JobRegistry,
-    pub(crate) admission: AdmissionCache,
     pub(crate) started: Instant,
     pub(crate) workers: usize,
     pub(crate) conns: ConnMetrics,
@@ -162,7 +160,6 @@ impl Server {
             session,
             queue: BoundedQueue::new(config.queue_depth.max(1)),
             registry: JobRegistry::new(),
-            admission: AdmissionCache::default(),
             started: Instant::now(),
             workers: config.workers.max(1),
             conns: ConnMetrics::default(),

@@ -19,6 +19,29 @@ echo "==> perfbench self-tests (its own workspace; tier-1 never builds it)"
 # it must fail here rather than only when the benchmark runs.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench traced serve pass (every-cycle replica vs the idle-skipping loop)"
+# Simulator::run jumps over idle cycles. The traced pass re-simulates 6
+# traces x 8 configurations at 50k with a replica that ticks every cycle
+# through the public API, and counts a failed operation for each run whose
+# cycles or retired instructions differ from the engine's.
+perfbench_log="target/perfbench-serve-trace.log"
+mkdir -p target
+if ! cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload serve_short_jobs --trace 1 --seconds 1 >"$perfbench_log" 2>&1; then
+    cat "$perfbench_log" >&2
+    echo "FAIL: perfbench's traced serve pass exited nonzero" >&2
+    exit 1
+fi
+case "$(tail -n 1 "$perfbench_log")" in
+*'"correct":true,'*'"failed":0,'*) ;;
+*)
+    grep -E '^(FAILED|note)' "$perfbench_log" >&2 || true
+    echo "FAIL: perfbench's traced serve pass is not correct with 0 failed operations" >&2
+    exit 1
+    ;;
+esac
+echo "perfbench's every-cycle replica matches the engine on every traced run"
+
 echo "==> smoke: swip bench --instructions 100000 --stride 16 --threads 4"
 # At 100k AsmDB inserts prefetches on all three workloads; at 50k two of
 # them still get none, so their AsmDB columns equal the baselines and the

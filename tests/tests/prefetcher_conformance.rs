@@ -1,7 +1,7 @@
 //! Trait-conformance suite for every [`InstructionPrefetcher`]
 //! implementation (DESIGN.md §16): a disabled mechanism issues nothing,
-//! snapshot counters are monotone, and two identical runs replay
-//! deterministically.
+//! snapshot counters are monotone, two identical runs replay
+//! deterministically, and a tick before `next_tick` changes nothing.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -161,5 +161,50 @@ fn two_identical_runs_replay_deterministically() {
         let (label, a) = run(idx);
         let (_, b) = run(idx);
         assert_eq!(a, b, "{label} diverged across identical runs");
+    }
+}
+
+/// The simulation loop skips the cycles before `next_tick` (or all of
+/// them while it is `None`) without calling `tick`, so a tick there must
+/// change nothing observable: the snapshot, the FTQ counters and the
+/// prefetches sent to the hierarchy.
+#[test]
+fn ticks_before_next_tick_change_nothing() {
+    for (label, mut p) in zoo() {
+        let mut mem = MemoryHierarchy::new(HierarchyConfig::tiny());
+        let mut branch = BranchUnit::new(BranchConfig::default());
+        let mut stats = FtqStats::default();
+        let mut now = 0;
+        let mut pending_rounds = 0;
+        for round in 0..12 {
+            // Round 6 runs disabled: nothing may fall due then.
+            p.set_enabled(round != 6);
+            // Each round ends just after a cycle whose demand fetch may
+            // have queued metadata, so work is often in flight.
+            drive(p.as_mut(), &mut mem, &mut branch, &mut stats, now..now + 40);
+            now += 40;
+            let due = p.next_tick();
+            if !p.enabled() {
+                assert_eq!(due, None, "{label} reports work while disabled");
+            }
+            let until = match due {
+                Some(at) => {
+                    assert!(at >= now, "{label}: tick at {} left {at} due", now - 1);
+                    pending_rounds += 1;
+                    at
+                }
+                None => now + 50,
+            };
+            for cycle in now..until {
+                let before = (p.snapshot(), stats.clone(), mem.stats().instr_prefetches);
+                p.tick(cycle, &mut mem, &mut stats);
+                let after = (p.snapshot(), stats.clone(), mem.stats().instr_prefetches);
+                assert_eq!(before, after, "{label} acted at {cycle}, before {due:?}");
+            }
+            now = until;
+        }
+        if matches!(label, "preload" | "mana") {
+            assert!(pending_rounds > 0, "{label} never had work in flight");
+        }
     }
 }
