@@ -8,9 +8,10 @@ use std::sync::Arc;
 
 use swip_asmdb::{Asmdb, AsmdbConfig, RewriteReport};
 use swip_branch::{DirectionKind, HistoryMode};
-use swip_cache::EntanglingConfig;
 use swip_core::{SimConfig, SimReport, Simulator};
-use swip_frontend::{HintTable, PreloadConfig};
+use swip_frontend::{
+    EntanglingPrefetcher, HintTable, NextLinePrefetcher, PreloadConfig, PreloadPrefetcher,
+};
 use swip_trace::Trace;
 use swip_types::{geomean, PrefetcherId};
 use swip_workloads::WorkloadSpec;
@@ -499,17 +500,13 @@ fn extension_hw_prefetch(session: &Session) -> Result<Vec<PathBuf>, BenchError> 
         "extension_hw_prefetch",
         "workload\tfdp\tfdp+nextline\tfdp+eip\tfdp+asmdb_noov",
         |spec, trace| {
-            let fdp = SimConfig::sunny_cove_like();
-            let mut next_line = fdp.clone();
-            next_line.memory.l1i_next_line_prefetch = true;
-            let mut eip = fdp.clone();
-            eip.memory.l1i_entangling = Some(EntanglingConfig::default());
+            let fdp = Simulator::new(SimConfig::sunny_cove_like());
             let hints = session.asmdb(spec).hint_table.clone();
             let runs = vec![
-                Simulator::new(fdp.clone()).run(trace),
-                Simulator::new(next_line).run(trace),
-                Simulator::new(eip).run(trace),
-                Simulator::new(fdp).run_with_hint_table(trace, hints),
+                fdp.run(trace),
+                fdp.run_with_prefetcher(trace, Box::new(NextLinePrefetcher::new())),
+                fdp.run_with_prefetcher(trace, Box::new(EntanglingPrefetcher::new())),
+                fdp.run_with_hint_table(trace, hints),
             ];
             (runs, String::new())
         },
@@ -532,14 +529,15 @@ fn extension_preload(session: &Session) -> Result<Vec<PathBuf>, BenchError> {
         "extension_preload",
         "workload\tfdp\tasmdb_instr\tasmdb_hints\tasmdb_preload\tpreload_prefetches",
         |spec, trace| {
-            let fdp = SimConfig::sunny_cove_like();
+            let fdp = Simulator::new(SimConfig::sunny_cove_like());
             let out = session.asmdb(spec);
             let table = Arc::new(HintTable::from_line_map(&out.plan.to_preload_metadata()));
+            let preload = PreloadPrefetcher::new(table, PreloadConfig::default());
             let runs = vec![
-                Simulator::new(fdp.clone()).run(trace),
-                Simulator::new(fdp.clone()).run(&out.rewritten),
-                Simulator::new(fdp.clone()).run_with_hint_table(trace, out.hint_table.clone()),
-                Simulator::new(fdp).run_with_preload_table(trace, table, PreloadConfig::default()),
+                fdp.run(trace),
+                fdp.run(&out.rewritten),
+                fdp.run_with_hint_table(trace, out.hint_table.clone()),
+                fdp.run_with_prefetcher(trace, Box::new(preload)),
             ];
             let preloaded = format!("\t{}", runs[3].frontend.swpf_preloaded.get());
             (runs, preloaded)

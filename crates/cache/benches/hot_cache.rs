@@ -1,9 +1,9 @@
 //! Microbenchmarks for the cache crate's hot kernels: the flat-layout
-//! `Cache::access`/`Cache::fill` pair and the flat ITLB lookup — the
-//! inner loops every simulated fetch goes through.
+//! `Cache::access`/`Cache::fill` pair — the inner loops every simulated
+//! fetch goes through.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use swip_cache::{Cache, CacheConfig, ReplacementKind, Tlb, TlbConfig};
+use swip_cache::{Cache, CacheConfig, ReplacementKind};
 use swip_types::Addr;
 
 fn l1i() -> Cache {
@@ -63,22 +63,5 @@ fn bench_fill(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_tlb(c: &mut Criterion) {
-    let mut g = c.benchmark_group("cache_hot");
-    g.bench_function("tlb_access_hit", |b| {
-        let mut tlb = Tlb::new(TlbConfig::default());
-        // Touch a few pages so lookups hit in the flat way array.
-        for p in 0..16u64 {
-            tlb.access(Addr::new(p * 4096), 0);
-        }
-        let mut p = 0u64;
-        b.iter(|| {
-            p = (p + 1) % 16;
-            std::hint::black_box(tlb.access(Addr::new(p * 4096), 0))
-        });
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_access, bench_fill, bench_tlb);
+criterion_group!(benches, bench_access, bench_fill);
 criterion_main!(benches);

@@ -30,16 +30,12 @@
 
 mod cache;
 mod config;
-mod entangling;
 mod hierarchy;
 mod outstanding;
 mod replacement;
-mod tlb;
 
 pub use cache::{Cache, CacheStats};
 pub use config::{CacheConfig, ConfigError, HierarchyConfig};
-pub use entangling::{EntanglingConfig, EntanglingPrefetcher, EntanglingStats};
 pub use hierarchy::{AccessResult, HierarchyStats, Level, MemoryHierarchy};
 pub use outstanding::Outstanding;
 pub use replacement::ReplacementKind;
-pub use tlb::{Tlb, TlbConfig, TlbStats, PAGE_SIZE};

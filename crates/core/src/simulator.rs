@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use swip_cache::MemoryHierarchy;
-use swip_frontend::{Frontend, HintTable, PreloadConfig};
+use swip_frontend::{AsmdbHintPrefetcher, Frontend, HintTable, InstructionPrefetcher};
 use swip_trace::Trace;
 use swip_types::{Addr, Cycle, InstrKind};
 
@@ -47,7 +47,7 @@ impl Simulator {
 
     /// Simulates `trace` to completion (or to the cycle watchdog).
     pub fn run(&self, trace: &Trace) -> SimReport {
-        self.run_inner(trace, None, None)
+        self.run_inner(trace, None)
     }
 
     /// Simulates `trace` with a shared no-overhead hint table (built once
@@ -55,68 +55,55 @@ impl Simulator {
     /// `Arc` — nothing is copied per run. Panics if the configured
     /// prefetcher is MANA or shadow-BTB, which the table would replace.
     pub fn run_with_hint_table(&self, trace: &Trace, hints: Arc<HintTable>) -> SimReport {
-        self.run_inner(trace, Some(hints), None)
+        self.run_with_prefetcher(trace, Box::new(AsmdbHintPrefetcher::new(hints)))
     }
 
-    /// Simulates `trace` with the §VI metadata-preloading extension: the
-    /// prefetch metadata lives in a shared LLC-side table (built once per
-    /// workload via [`HintTable::from_line_map`]) consulted on L1-I
-    /// accesses, instead of in the instruction stream. Panics if the
-    /// configured prefetcher is MANA or shadow-BTB, which the table would
-    /// replace.
-    pub fn run_with_preload_table(
+    /// Simulates `trace` with `prefetcher` plugged into the front-end's
+    /// prefetch seam (DESIGN.md §16): the §VI metadata preloading, the
+    /// next-line and entangling hardware prefetchers, or any other
+    /// [`InstructionPrefetcher`]. Panics if the configured prefetcher is
+    /// MANA or shadow-BTB, which `prefetcher` would replace.
+    pub fn run_with_prefetcher(
         &self,
         trace: &Trace,
-        metadata: Arc<HintTable>,
-        preload: PreloadConfig,
+        prefetcher: Box<dyn InstructionPrefetcher>,
     ) -> SimReport {
-        self.run_inner(trace, None, Some((metadata, preload)))
+        self.run_inner(trace, Some(prefetcher))
     }
 
     fn run_inner(
         &self,
         trace: &Trace,
-        hints: Option<Arc<HintTable>>,
-        preload: Option<(Arc<HintTable>, PreloadConfig)>,
+        supplied: Option<Box<dyn InstructionPrefetcher>>,
     ) -> SimReport {
-        let prefetcher = self.config.prefetcher;
-        if hints.is_some() || preload.is_some() {
-            // A table installs its own prefetcher in the front-end's one
-            // slot, so it would silently drop a hardware mechanism.
+        let configured = self.config.prefetcher;
+        if supplied.is_some() {
+            // The front-end has one prefetcher slot, so a supplied
+            // mechanism would silently drop a configured hardware one.
             assert!(
                 matches!(
-                    prefetcher,
+                    configured,
                     swip_types::PrefetcherId::Fdp | swip_types::PrefetcherId::Asmdb
                 ),
-                "{} would replace the {} prefetcher; tables run only with the fdp or \
-                 asmdb prefetcher",
-                if hints.is_some() {
-                    "an AsmDB hint table"
-                } else {
-                    "a preload table"
-                },
-                prefetcher.label()
+                "a supplied prefetcher would replace the {} prefetcher; supply one only \
+                 with the fdp or asmdb prefetcher",
+                configured.label()
             );
         }
-        let mut frontend = Frontend::new(self.config.frontend.clone());
         // The hardware mechanisms of the prefetcher zoo (DESIGN.md §16).
         // Fdp needs no mechanism (run-ahead is intrinsic to the FTQ) and
-        // Asmdb's prefetches arrive via the rewritten trace or the hint
-        // table installed below.
-        match prefetcher {
-            swip_types::PrefetcherId::Fdp | swip_types::PrefetcherId::Asmdb => {}
-            swip_types::PrefetcherId::Mana => {
-                frontend.set_prefetcher(Box::new(swip_frontend::ManaPrefetcher::new()));
-            }
+        // Asmdb's prefetches arrive via the rewritten trace or a supplied
+        // hint prefetcher.
+        let prefetcher: Option<Box<dyn InstructionPrefetcher>> = match configured {
+            swip_types::PrefetcherId::Fdp | swip_types::PrefetcherId::Asmdb => supplied,
+            swip_types::PrefetcherId::Mana => Some(Box::new(swip_frontend::ManaPrefetcher::new())),
             swip_types::PrefetcherId::ShadowBtb => {
-                frontend.set_prefetcher(Box::new(swip_frontend::ShadowBtbPrefetcher::new()));
+                Some(Box::new(swip_frontend::ShadowBtbPrefetcher::new()))
             }
-        }
-        if let Some(table) = hints {
-            frontend.set_hint_table(table);
-        }
-        if let Some((table, cfg)) = preload {
-            frontend.set_preload_table(table, cfg);
+        };
+        let mut frontend = Frontend::new(self.config.frontend.clone());
+        if let Some(p) = prefetcher {
+            frontend.set_prefetcher(p);
         }
         if let Some(timeline) = self.config.timeline {
             frontend.enable_timeline(timeline);
@@ -368,7 +355,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "an AsmDB hint table would replace the mana prefetcher")]
+    #[should_panic(expected = "a supplied prefetcher would replace the mana prefetcher")]
     fn hint_table_refuses_to_drop_a_hardware_prefetcher() {
         let mut config = SimConfig::test_scale();
         config.prefetcher = swip_types::PrefetcherId::Mana;

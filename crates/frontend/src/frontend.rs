@@ -11,12 +11,10 @@ use swip_types::{Cycle, InstrKind, Instruction, SeqNum};
 
 use crate::entry::{FtqEntry, LineState};
 use crate::hints::HintTable;
-use crate::prefetch::{
-    AsmdbHintPrefetcher, FdpPrefetcher, InstructionPrefetcher, PreloadPrefetcher,
-};
+use crate::prefetch::{AsmdbHintPrefetcher, FdpPrefetcher, InstructionPrefetcher};
 use crate::stats::{FtqStats, Scenario};
 use crate::timeline::{ScenarioTimeline, TimelineConfig};
-use crate::{FrontendConfig, PreloadConfig};
+use crate::FrontendConfig;
 
 /// An instruction handed from the front-end to decode/dispatch.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -199,19 +197,6 @@ impl Frontend {
     /// toggle [`InstructionPrefetcher::set_enabled`] mid-run).
     pub fn prefetcher_mut(&mut self) -> &mut dyn InstructionPrefetcher {
         self.prefetcher.as_mut()
-    }
-
-    /// Enables the §VI metadata-preloading extension: `table` (trigger
-    /// line number → prefetch targets, as built by
-    /// [`HintTable::from_line_map`]) is the preloaded LLC-side table; each
-    /// L1-I line request consults a small L1-side metadata cache and, on a
-    /// miss there, fetches the entry from the LLC table after the
-    /// configured latency before firing its prefetches. The `Arc` is
-    /// stored as-is — no per-run copy is made.
-    ///
-    /// Equivalent to `set_prefetcher(Box::new(PreloadPrefetcher::new(table, config)))`.
-    pub fn set_preload_table(&mut self, table: Arc<HintTable>, config: PreloadConfig) {
-        self.prefetcher = Box::new(PreloadPrefetcher::new(table, config));
     }
 
     /// The front-end configuration.
@@ -579,6 +564,10 @@ impl Frontend {
                     budget -= 1;
                     continue;
                 }
+                // Hook 4: the prefetcher sees the outcome of every demand
+                // line fetch the hierarchy accepted (hardware prefetchers
+                // that train on L1-I hits and misses).
+                self.prefetcher.on_demand_fetch(*line, now, result, mem);
                 *state = LineState::InFlight {
                     done: result.complete_at,
                     aliased: false,
@@ -1003,13 +992,13 @@ mod tests {
         metadata.insert(Addr::new(0x0).line().number(), vec![far]);
         // Latency chosen so the metadata arrives once the cold-start misses
         // have drained the tiny MSHR file.
-        fe.set_preload_table(
+        fe.set_prefetcher(Box::new(crate::PreloadPrefetcher::new(
             Arc::new(HintTable::from_line_map(&metadata)),
             crate::PreloadConfig {
                 l1_entries: 8,
                 metadata_latency: 90,
             },
-        );
+        )));
         let mut mem = tiny_mem();
         run_to_completion(&mut fe, &trace, &mut mem, 100_000);
         assert_eq!(fe.stats().preload_metadata_requests.get(), 1);
@@ -1034,10 +1023,10 @@ mod tests {
         let mut fe = Frontend::new(config(4));
         let mut metadata = HashMap::new();
         metadata.insert(Addr::new(0x100).line().number(), vec![far]);
-        fe.set_preload_table(
+        fe.set_prefetcher(Box::new(crate::PreloadPrefetcher::new(
             Arc::new(HintTable::from_line_map(&metadata)),
             crate::PreloadConfig::default(),
-        );
+        )));
         let mut mem = tiny_mem();
         run_to_completion(&mut fe, &trace, &mut mem, 200_000);
         assert_eq!(fe.stats().preload_metadata_requests.get(), 1);

@@ -50,6 +50,7 @@
 #![warn(missing_docs)]
 
 mod config;
+mod entangling;
 mod entry;
 mod frontend;
 mod hints;
@@ -58,12 +59,13 @@ mod stats;
 mod timeline;
 
 pub use config::{FrontendConfig, PreloadConfig};
+pub use entangling::EntanglingPrefetcher;
 pub use entry::{FtqEntry, LineState};
 pub use frontend::{DecodedInstr, Frontend, Ftq};
 pub use hints::HintTable;
 pub use prefetch::{
-    AsmdbHintPrefetcher, FdpPrefetcher, InstructionPrefetcher, ManaPrefetcher, PrefetcherSnapshot,
-    PreloadPrefetcher, ShadowBtbPrefetcher,
+    AsmdbHintPrefetcher, FdpPrefetcher, InstructionPrefetcher, ManaPrefetcher, NextLinePrefetcher,
+    PrefetcherSnapshot, PreloadPrefetcher, ShadowBtbPrefetcher,
 };
 pub use stats::{FtqStats, Scenario};
 pub use timeline::{ScenarioTimeline, TimelineConfig, TimelineSample};

@@ -2,10 +2,10 @@
 //!
 //! The paper compares exactly two prefetch mechanisms — FDP's decoupled
 //! run-ahead and AsmDB's software hints — but the design space is wider
-//! (MANA's metadata record-and-replay, shadow-branch BTB pre-fill, …).
-//! This module turns the hard-wired special cases into implementations of
-//! one trait so the whole space is sweepable from `swip bench
-//! --prefetcher`.
+//! (MANA's metadata record-and-replay, shadow-branch BTB pre-fill,
+//! next-line and EIP-like entangling hardware prefetchers, …). This module
+//! turns the hard-wired special cases into implementations of one trait
+//! so the whole space plugs into the front-end at one seam.
 //!
 //! # Hook order within a cycle
 //!
@@ -20,7 +20,11 @@
 //! 3. **`issue_prefetch`** — once per *demand* line fetch the front-end is
 //!    about to issue (aliased lines excluded), immediately before the L1-I
 //!    access. Metadata-directed prefetchers react to the miss stream here.
-//! 4. **`tick`** — once per cycle, after fetch issue. Latency-delayed
+//! 4. **`on_demand_fetch`** — right after the hierarchy accepts that
+//!    demand fetch, with its [`AccessResult`] (not called when the MSHR
+//!    file refuses it). Hardware prefetchers that train on L1-I hits and
+//!    misses (next-line, entangling) act here.
+//! 5. **`tick`** — once per cycle, after fetch issue. Latency-delayed
 //!    work (metadata arrivals, replay queues) drains here.
 //!
 //! The simulation loop skips cycles in which nothing but counting would
@@ -36,7 +40,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use swip_branch::BranchUnit;
-use swip_cache::MemoryHierarchy;
+use swip_cache::{AccessResult, Level, MemoryHierarchy};
 use swip_types::{Addr, BranchKind, Cycle, LineAddr};
 
 use crate::hints::HintTable;
@@ -111,6 +115,19 @@ pub trait InstructionPrefetcher: Send {
         let _ = (line, now, mem, branch, stats);
     }
 
+    /// Observes a demand line fetch the hierarchy accepted, with its
+    /// outcome: an L1-I hit, a miss and the level that filled it, or a
+    /// merge with a miss already in flight.
+    fn on_demand_fetch(
+        &mut self,
+        line: LineAddr,
+        now: Cycle,
+        result: AccessResult,
+        mem: &mut MemoryHierarchy,
+    ) {
+        let _ = (line, now, result, mem);
+    }
+
     /// The mechanism's monotone activity counters.
     fn snapshot(&self) -> PrefetcherSnapshot;
 
@@ -149,6 +166,63 @@ impl InstructionPrefetcher for FdpPrefetcher {
 
     fn enabled(&self) -> bool {
         !self.disabled
+    }
+}
+
+/// Next-line prefetching: a demand fetch that misses the L1-I (and does
+/// not merge with a miss already in flight) prefetches the following line.
+#[derive(Debug)]
+pub struct NextLinePrefetcher {
+    enabled: bool,
+    issued: u64,
+}
+
+impl Default for NextLinePrefetcher {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl NextLinePrefetcher {
+    /// Creates the next-line prefetcher.
+    pub fn new() -> Self {
+        NextLinePrefetcher {
+            enabled: true,
+            issued: 0,
+        }
+    }
+}
+
+impl InstructionPrefetcher for NextLinePrefetcher {
+    fn on_demand_fetch(
+        &mut self,
+        line: LineAddr,
+        now: Cycle,
+        result: AccessResult,
+        mem: &mut MemoryHierarchy,
+    ) {
+        if !self.enabled || result.merged || result.level == Level::L1 {
+            return;
+        }
+        if mem.prefetch_instr(line.next(), now).is_some() {
+            self.issued += 1;
+        }
+    }
+
+    fn snapshot(&self) -> PrefetcherSnapshot {
+        PrefetcherSnapshot {
+            trained: 0,
+            issued: self.issued,
+            metadata_requests: 0,
+        }
+    }
+
+    fn set_enabled(&mut self, enabled: bool) {
+        self.enabled = enabled;
+    }
+
+    fn enabled(&self) -> bool {
+        self.enabled
     }
 }
 
@@ -694,5 +768,21 @@ mod tests {
         }
         p.tick(p.config.metadata_latency, &mut mem, &mut stats);
         assert_eq!(p.l1_cache.iter().copied().collect::<Vec<_>>(), lines);
+    }
+
+    #[test]
+    fn next_line_prefetcher_warms_sequential_lines() {
+        let mut p = NextLinePrefetcher::new();
+        let mut mem = MemoryHierarchy::new(HierarchyConfig::tiny());
+        let line = LineAddr::from_line_number(10);
+        let miss = mem.fetch_instr(line, 0);
+        p.on_demand_fetch(line, 0, miss, &mut mem);
+        assert!(mem.l1i_contains(line.next()));
+        // A hit and a merge prefetch nothing.
+        let merged = mem.fetch_instr(line, 1);
+        p.on_demand_fetch(line, 1, merged, &mut mem);
+        let hit = mem.fetch_instr(line, miss.complete_at);
+        p.on_demand_fetch(line, miss.complete_at, hit, &mut mem);
+        assert_eq!(p.snapshot().issued, 1);
     }
 }

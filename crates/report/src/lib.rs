@@ -6,7 +6,7 @@
 //!
 //! * [`RunReport`] — a versioned JSON document carrying the run's
 //!   configuration fingerprint, session work counters, and every
-//!   cache/TLB/front-end/branch/backend counter per (workload, config)
+//!   cache/front-end/branch/backend counter per (workload, config)
 //!   pair. Written as `report.json` beside the TSVs; everything the TSVs
 //!   say is recomputable from it.
 //! * [`ReportDiff`] — counter-level comparison of two reports, backing

@@ -13,18 +13,16 @@ use swip_branch::BranchStats;
 use swip_cache::{CacheStats, HierarchyStats, MemoryHierarchy};
 use swip_core::{Backend, BackendStats, SimConfig, SimReport, Simulator, TimelineConfig};
 use swip_frontend::{
-    Frontend, FtqStats, HintTable, ManaPrefetcher, PreloadConfig, ShadowBtbPrefetcher,
-    TimelineSample,
+    AsmdbHintPrefetcher, EntanglingPrefetcher, Frontend, FtqStats, HintTable,
+    InstructionPrefetcher, ManaPrefetcher, NextLinePrefetcher, PreloadConfig, PreloadPrefetcher,
+    ShadowBtbPrefetcher, TimelineSample,
 };
 use swip_trace::Trace;
 use swip_types::PrefetcherId;
 
-/// The prefetch table a run installs, besides its configured prefetcher.
-enum Table {
-    None,
-    Hints(Arc<HintTable>),
-    Preload(Arc<HintTable>, PreloadConfig),
-}
+/// Builds the prefetcher a run supplies besides its configured one, once
+/// for the engine and once for the reference loop.
+type Factory<'a> = &'a dyn Fn() -> Box<dyn InstructionPrefetcher>;
 
 fn session() -> Session {
     SessionBuilder::new()
@@ -63,17 +61,15 @@ struct Observed {
 
 /// Simulates `trace` with the same set-up as `Simulator::run`, but calls
 /// every per-cycle method on every cycle.
-fn every_cycle(config: &SimConfig, trace: &Trace, table: &Table) -> Observed {
+fn every_cycle(config: &SimConfig, trace: &Trace, supplied: Option<Factory>) -> Observed {
     let mut frontend = Frontend::new(config.frontend.clone());
     match config.prefetcher {
         PrefetcherId::Fdp | PrefetcherId::Asmdb => {}
         PrefetcherId::Mana => frontend.set_prefetcher(Box::new(ManaPrefetcher::new())),
         PrefetcherId::ShadowBtb => frontend.set_prefetcher(Box::new(ShadowBtbPrefetcher::new())),
     }
-    match table {
-        Table::None => {}
-        Table::Hints(t) => frontend.set_hint_table(Arc::clone(t)),
-        Table::Preload(t, c) => frontend.set_preload_table(Arc::clone(t), c.clone()),
+    if let Some(make) = supplied {
+        frontend.set_prefetcher(make());
     }
     if let Some(timeline) = config.timeline {
         frontend.enable_timeline(timeline);
@@ -127,14 +123,13 @@ fn every_cycle(config: &SimConfig, trace: &Trace, table: &Table) -> Observed {
 
 /// Runs `Simulator::run` and the every-cycle reference on the same input
 /// and asserts they agree field by field; returns the engine's report.
-fn check(label: &str, config: &SimConfig, trace: &Trace, table: &Table) -> SimReport {
+fn check(label: &str, config: &SimConfig, trace: &Trace, supplied: Option<Factory>) -> SimReport {
     let sim = Simulator::new(config.clone());
-    let got = match table {
-        Table::None => sim.run(trace),
-        Table::Hints(t) => sim.run_with_hint_table(trace, Arc::clone(t)),
-        Table::Preload(t, c) => sim.run_with_preload_table(trace, Arc::clone(t), c.clone()),
+    let got = match supplied {
+        None => sim.run(trace),
+        Some(make) => sim.run_with_prefetcher(trace, make()),
     };
-    let want = every_cycle(config, trace, table);
+    let want = every_cycle(config, trace, supplied);
     assert_eq!(got.cycles, want.cycles, "{label}: cycles");
     assert_eq!(got.instructions, want.instructions, "{label}: instructions");
     assert_eq!(got.completed, want.completed, "{label}: completed");
@@ -156,23 +151,22 @@ fn check(label: &str, config: &SimConfig, trace: &Trace, table: &Table) -> SimRe
 
 /// Every configuration of the sweep on one workload, each on the input
 /// the engine gives it: the original trace, the AsmDB-rewritten trace, or
-/// the original with the no-overhead hint table.
+/// the original with the no-overhead hint prefetcher.
 fn all_configurations(name: &str) {
     let session = session();
     let spec = spec(&session, name);
     let trace = session.trace(&spec);
     let out = session.asmdb(&spec);
+    let hints: Factory = &|| Box::new(AsmdbHintPrefetcher::new(Arc::clone(&out.hint_table)));
     for id in ConfigId::ALL {
-        let (input, table) = match id {
-            ConfigId::AsmdbCons | ConfigId::AsmdbFdp => (&out.rewritten, Table::None),
-            ConfigId::AsmdbConsNoov | ConfigId::AsmdbFdpNoov => {
-                (&*trace, Table::Hints(Arc::clone(&out.hint_table)))
-            }
-            _ => (&*trace, Table::None),
+        let (input, supplied): (&Trace, Option<Factory>) = match id {
+            ConfigId::AsmdbCons | ConfigId::AsmdbFdp => (&out.rewritten, None),
+            ConfigId::AsmdbConsNoov | ConfigId::AsmdbFdpNoov => (&trace, Some(hints)),
+            _ => (&trace, None),
         };
         let mut config = id.sim_config();
         config.collect_line_profile = true;
-        let r = check(&format!("{name}/{}", id.label()), &config, input, &table);
+        let r = check(&format!("{name}/{}", id.label()), &config, input, supplied);
         assert!(r.completed, "{name}/{} hit the watchdog", id.label());
     }
 }
@@ -199,12 +193,43 @@ fn a_preload_table_run() {
     let trace = session.trace(&spec);
     let metadata = session.asmdb(&spec).plan.to_preload_metadata();
     assert!(!metadata.is_empty(), "the plan must preload something");
-    let table = Table::Preload(
-        Arc::new(HintTable::from_line_map(&metadata)),
-        PreloadConfig::default(),
+    let table = Arc::new(HintTable::from_line_map(&metadata));
+    let preload: Factory = &|| {
+        Box::new(PreloadPrefetcher::new(
+            Arc::clone(&table),
+            PreloadConfig::default(),
+        ))
+    };
+    let r = check(
+        "preload",
+        &SimConfig::sunny_cove_like(),
+        &trace,
+        Some(preload),
     );
-    let r = check("preload", &SimConfig::sunny_cove_like(), &trace, &table);
     assert!(r.frontend.swpf_preloaded.get() > 0, "no preload fired");
+}
+
+/// A run with `make`'s hardware prefetcher on `secret_srv12`, which must
+/// issue prefetches: the trace holds no prefetch instructions, so every
+/// prefetch is the mechanism's.
+fn hardware_prefetcher_run(label: &str, make: Factory) {
+    let session = session();
+    let trace = session.trace(&spec(&session, "secret_srv12"));
+    let r = check(label, &SimConfig::sunny_cove_like(), &trace, Some(make));
+    assert!(
+        r.hierarchy.instr_prefetches.get() > 0,
+        "{label} issued no prefetch"
+    );
+}
+
+#[test]
+fn a_next_line_run() {
+    hardware_prefetcher_run("next_line", &|| Box::new(NextLinePrefetcher::new()));
+}
+
+#[test]
+fn an_entangling_run() {
+    hardware_prefetcher_run("entangling", &|| Box::new(EntanglingPrefetcher::new()));
 }
 
 #[test]
@@ -216,7 +241,7 @@ fn a_timeline_that_evicts_samples() {
             stride: 7,
             capacity: 1000,
         });
-        let r = check("timeline", &config, &trace, &Table::None);
+        let r = check("timeline", &config, &trace, None);
         assert!(r.timeline_dropped > 0, "the capacity must evict");
     }
 }
@@ -229,7 +254,7 @@ fn a_run_cut_short_by_the_watchdog() {
     // The watchdog then fires at its 100k-cycle floor, before the run
     // drains.
     config.max_cycles_per_instr = 0;
-    let r = check("watchdog", &config, &trace, &Table::None);
+    let r = check("watchdog", &config, &trace, None);
     assert!(!r.completed);
     assert_eq!(r.cycles, 100_000);
 }

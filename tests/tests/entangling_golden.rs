@@ -8,20 +8,68 @@
 //! counts. These tests pin the exact counter values produced by the
 //! pre-flattening implementation on a deterministic workload.
 
-use swip_cache::EntanglingConfig;
+use swip_cache::{AccessResult, MemoryHierarchy};
 use swip_core::{SimConfig, SimReport, Simulator};
+use swip_frontend::{
+    EntanglingPrefetcher, InstructionPrefetcher, NextLinePrefetcher, PrefetcherSnapshot,
+};
+use swip_types::{Cycle, LineAddr};
 use swip_workloads::{cvp1_suite, generate};
 
+/// Entangling with next-line stacked on top: on each accepted demand
+/// fetch, the entangled prefetches go first, then the next line.
+struct Stacked {
+    entangling: EntanglingPrefetcher,
+    next_line: NextLinePrefetcher,
+}
+
+impl InstructionPrefetcher for Stacked {
+    fn on_demand_fetch(
+        &mut self,
+        line: LineAddr,
+        now: Cycle,
+        result: AccessResult,
+        mem: &mut MemoryHierarchy,
+    ) {
+        self.entangling.on_demand_fetch(line, now, result, mem);
+        self.next_line.on_demand_fetch(line, now, result, mem);
+    }
+
+    fn snapshot(&self) -> PrefetcherSnapshot {
+        let (a, b) = (self.entangling.snapshot(), self.next_line.snapshot());
+        PrefetcherSnapshot {
+            trained: a.trained + b.trained,
+            issued: a.issued + b.issued,
+            metadata_requests: a.metadata_requests + b.metadata_requests,
+        }
+    }
+
+    fn set_enabled(&mut self, enabled: bool) {
+        self.entangling.set_enabled(enabled);
+        self.next_line.set_enabled(enabled);
+    }
+
+    fn enabled(&self) -> bool {
+        self.entangling.enabled()
+    }
+}
+
 /// Deterministic entangling run: first CVP-1 workload (`public_srv_60`),
-/// 20k instructions, `sunny_cove_like` front-end, default entangling
+/// 20k instructions, `sunny_cove_like` front-end, the entangling
 /// prefetcher, optionally with the next-line prefetcher stacked on top.
 fn entangling_report(next_line: bool) -> (String, SimReport) {
     let spec = cvp1_suite(20_000).into_iter().next().expect("suite");
     let trace = generate(&spec);
-    let mut cfg = SimConfig::sunny_cove_like();
-    cfg.memory.l1i_entangling = Some(EntanglingConfig::default());
-    cfg.memory.l1i_next_line_prefetch = next_line;
-    let report = Simulator::new(cfg).run(&trace);
+    let prefetcher: Box<dyn InstructionPrefetcher> = if next_line {
+        Box::new(Stacked {
+            entangling: EntanglingPrefetcher::new(),
+            next_line: NextLinePrefetcher::new(),
+        })
+    } else {
+        Box::new(EntanglingPrefetcher::new())
+    };
+    let report =
+        Simulator::new(SimConfig::sunny_cove_like()).run_with_prefetcher(&trace, prefetcher);
     (spec.name.clone(), report)
 }
 

@@ -9,10 +9,11 @@ use std::sync::Arc;
 use swip_branch::{BranchConfig, BranchUnit};
 use swip_cache::{HierarchyConfig, MemoryHierarchy};
 use swip_frontend::{
-    AsmdbHintPrefetcher, FdpPrefetcher, FtqStats, HintTable, InstructionPrefetcher, ManaPrefetcher,
-    PrefetcherSnapshot, PreloadConfig, PreloadPrefetcher, ShadowBtbPrefetcher,
+    AsmdbHintPrefetcher, EntanglingPrefetcher, FdpPrefetcher, FtqStats, HintTable,
+    InstructionPrefetcher, ManaPrefetcher, NextLinePrefetcher, PrefetcherSnapshot, PreloadConfig,
+    PreloadPrefetcher, ShadowBtbPrefetcher,
 };
-use swip_types::{Addr, BranchKind};
+use swip_types::{Addr, BranchKind, Cycle};
 
 /// Every implementation under test, by label, freshly constructed so runs
 /// never share state.
@@ -45,13 +46,18 @@ fn zoo() -> Vec<(&'static str, Box<dyn InstructionPrefetcher>)> {
         ),
         ("mana", Box::new(ManaPrefetcher::new())),
         ("shadow_btb", Box::new(ShadowBtbPrefetcher::new())),
+        ("next_line", Box::new(NextLinePrefetcher::new())),
+        ("entangling", Box::new(EntanglingPrefetcher::new())),
     ]
 }
 
-/// A deterministic stimulus that exercises all four hooks: a 16-line loop
-/// (so MANA sees repeated successions and AsmDB/preload hit their
-/// tables), periodic BTB misses (for shadow-branch capture), and enough
-/// cycles to out-wait every metadata latency.
+/// A deterministic stimulus that exercises all five hooks: a 96-line loop
+/// (so MANA sees repeated successions and AsmDB/preload hit their tables
+/// on its first 16 lines), periodic BTB misses (for shadow-branch
+/// capture), a demand fetch of every line through the hierarchy (which
+/// the loop outgrows: the tiny L1-I holds 64 lines, so next-line and
+/// entangling see misses), and enough cycles to out-wait every metadata
+/// latency.
 fn drive(
     p: &mut dyn InstructionPrefetcher,
     mem: &mut MemoryHierarchy,
@@ -60,13 +66,17 @@ fn drive(
     cycles: std::ops::Range<u64>,
 ) {
     for now in cycles {
-        let pc = Addr::new((now % 16) * 64);
+        let pc = Addr::new((now % 96) * 64);
         p.train_on_fetch(pc, now, mem, stats);
         if now % 3 == 0 {
-            let target = Addr::new(((now + 5) % 16) * 64);
+            let target = Addr::new(((now + 5) % 96) * 64);
             p.train_on_btb_miss(pc, BranchKind::UncondDirect, target, now);
         }
         p.issue_prefetch(pc.line(), now, mem, branch, stats);
+        let result = mem.fetch_instr(pc.line(), now);
+        if result.complete_at != Cycle::MAX {
+            p.on_demand_fetch(pc.line(), now, result, mem);
+        }
         p.tick(now, mem, stats);
     }
 }
