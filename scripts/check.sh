@@ -183,6 +183,29 @@ fi
 rm -rf "$first" target/report.stable.json
 echo "every TSV and report.json are byte-stable across runs, AsmDB columns included"
 
+echo "==> smoke: hardware prefetchers (swip bench --figure extension_hw_prefetch)"
+# At 20k, where the loop below runs every experiment, the fdp+eip column
+# equals fdp on every workload, so that loop cannot tell whether a
+# mechanism is wired in. At the smoke scale each must move some workload.
+hw_dir="target/hw-prefetch-smoke"
+rm -rf "$hw_dir"
+mkdir -p "$hw_dir"
+if ! (cd "$hw_dir" && cargo run -p swip-cli --release --quiet -- bench \
+    --figure extension_hw_prefetch $smoke_flags >run.log 2>&1); then
+    echo "FAIL: swip bench --figure extension_hw_prefetch failed" >&2
+    cat "$hw_dir/run.log" >&2
+    exit 1
+fi
+hw_tsv="$hw_dir/target/experiments/extension_hw_prefetch.tsv"
+for column in 3:fdp+nextline 4:fdp+eip; do
+    if ! awk -F'\t' -v c="${column%%:*}" \
+        'NR > 1 && $1 != "geomean" && $c != $2 { d = 1 } END { exit !d }' "$hw_tsv"; then
+        echo "FAIL: ${column#*:} equals fdp on every workload of $hw_tsv" >&2
+        exit 1
+    fi
+done
+echo "next-line and entangling each move some workload off fdp"
+
 echo "==> smoke: every registered experiment (swip bench --figure NAME)"
 # The names come from the unknown-figure error, which lists the registry,
 # so this loop cannot drift from it.
