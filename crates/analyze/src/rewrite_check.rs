@@ -140,7 +140,7 @@ fn expect_prefetches(
             ));
             return false;
         };
-        let InstrKind::PrefetchI { target: got } = r.kind else {
+        let InstrKind::PrefetchI { target: got } = r.kind() else {
             diags.push(Diagnostic::new(
                 "R002",
                 Severity::Error,
@@ -268,9 +268,7 @@ impl Shift {
 /// The shifted image of an original instruction: pc and code-space targets
 /// move; data addresses do not.
 fn remap_instr(instr: &Instruction, shift: &Shift) -> Instruction {
-    let mut out = *instr;
-    out.pc = shift.remap_pc(instr.pc);
-    out.kind = match instr.kind {
+    let kind = match instr.kind() {
         InstrKind::Branch {
             kind,
             target,
@@ -285,6 +283,8 @@ fn remap_instr(instr: &Instruction, shift: &Shift) -> Instruction {
         },
         other => other,
     };
+    let mut out = instr.with_kind(kind);
+    out.pc = shift.remap_pc(instr.pc);
     out
 }
 
@@ -411,9 +411,9 @@ mod tests {
             .iter_mut()
             .find(|i| i.is_prefetch_i())
             .expect("rewrite inserted a prefetch");
-        pf.kind = InstrKind::PrefetchI {
+        *pf = pf.with_kind(InstrKind::PrefetchI {
             target: Addr::new(0x4000),
-        };
+        });
         let bad = Trace::from_instructions(rw.name(), instrs);
         assert_eq!(rules(&t, &plan, &bad), ["R003"]);
     }

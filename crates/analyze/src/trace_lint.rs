@@ -52,7 +52,7 @@ pub fn lint_trace(trace: &Trace) -> Vec<Diagnostic> {
                     Location::Seq(seq),
                     format!(
                         "control-flow discontinuity: {} at {} implies successor {}, trace continues at {}",
-                        kind_name(&i.kind),
+                        kind_name(&i.kind()),
                         i.pc,
                         i.next_pc(),
                         next.pc
@@ -62,7 +62,7 @@ pub fn lint_trace(trace: &Trace) -> Vec<Diagnostic> {
         }
 
         // T011: unconditional control transfers are always taken.
-        if let InstrKind::Branch { kind, taken, .. } = i.kind {
+        if let InstrKind::Branch { kind, taken, .. } = i.kind() {
             if kind != BranchKind::CondDirect && !taken {
                 diags.push(Diagnostic::new(
                     "T011",
@@ -78,7 +78,7 @@ pub fn lint_trace(trace: &Trace) -> Vec<Diagnostic> {
 
         // T012: one PC, one instruction kind (the CFG builder and the
         // rewriter both assume this).
-        let d = std::mem::discriminant(&i.kind);
+        let d = std::mem::discriminant(&i.kind());
         if let Some(prev) = kinds.insert(i.pc.raw(), d) {
             if prev != d {
                 diags.push(Diagnostic::new(
@@ -102,7 +102,7 @@ pub fn lint_trace(trace: &Trace) -> Vec<Diagnostic> {
 
         // T014: data addresses should not alias executed code or the null
         // page (per static access site).
-        if let InstrKind::Load { addr } | InstrKind::Store { addr } = i.kind {
+        if let InstrKind::Load { addr } | InstrKind::Store { addr } = i.kind() {
             let implausible = addr.raw() < NULL_PAGE || code_lines.contains(&addr.line().number());
             if implausible && data_reported.insert(i.pc.raw()) {
                 let why = if addr.raw() < NULL_PAGE {
@@ -121,7 +121,7 @@ pub fn lint_trace(trace: &Trace) -> Vec<Diagnostic> {
 
         // T015: a prefetch whose target line is never executed is dead
         // weight (per static target line).
-        if let InstrKind::PrefetchI { target } = i.kind {
+        if let InstrKind::PrefetchI { target } = i.kind() {
             let line = target.line().number();
             if !code_lines.contains(&line) && prefetch_reported.insert(line) {
                 diags.push(Diagnostic::new(
@@ -189,12 +189,17 @@ mod tests {
 
     #[test]
     fn not_taken_jump_is_t011() {
-        // The builder asserts against this, so fabricate via struct fields
-        // (exactly what a hand-corrupted file decodes into).
-        let mut i = Instruction::jump(Addr::new(0x0), Addr::new(0x40));
-        if let InstrKind::Branch { taken, .. } = &mut i.kind {
-            *taken = false;
-        }
+        // `Instruction::branch` asserts against this, so fabricate via
+        // `Instruction::new` (exactly what a hand-corrupted file decodes
+        // into).
+        let i = Instruction::new(
+            Addr::new(0x0),
+            InstrKind::Branch {
+                kind: BranchKind::UncondDirect,
+                target: Addr::new(0x40),
+                taken: false,
+            },
+        );
         let next = Instruction::alu(Addr::new(0x4)); // consistent with not-taken
         let t = Trace::from_instructions("bad", vec![i, next]);
         assert_eq!(rules(&t), vec!["T011"]);

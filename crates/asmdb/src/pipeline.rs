@@ -321,7 +321,7 @@ mod tests {
         let code_pcs: std::collections::HashSet<u64> =
             out.rewritten.iter().map(|i| i.pc.line().number()).collect();
         for i in out.rewritten.iter() {
-            if let InstrKind::PrefetchI { target } = i.kind {
+            if let InstrKind::PrefetchI { target } = i.kind() {
                 assert!(
                     code_pcs.contains(&target.line().number()),
                     "prefetch target {target} not in rewritten code space"

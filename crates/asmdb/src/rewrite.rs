@@ -240,9 +240,7 @@ pub fn rewrite_trace(trace: &Trace, plan: &Plan) -> (Trace, RewriteReport) {
 }
 
 fn remap_instr(instr: &Instruction, shift: &ShiftMap) -> Instruction {
-    let mut out = *instr;
-    out.pc = shift.remap_pc(instr.pc);
-    out.kind = match instr.kind {
+    let kind = match instr.kind() {
         InstrKind::Branch {
             kind,
             target,
@@ -257,6 +255,8 @@ fn remap_instr(instr: &Instruction, shift: &ShiftMap) -> Instruction {
         },
         other => other, // data addresses are not code; never shifted
     };
+    let mut out = instr.with_kind(kind);
+    out.pc = shift.remap_pc(instr.pc);
     out
 }
 
@@ -322,7 +322,7 @@ mod tests {
         // Per dynamic iteration: alu(0x0) alu(0x4) PF(0x8) jump(0xc) ...
         let instrs = rw.instructions();
         assert_eq!(
-            instrs[2].kind,
+            instrs[2].kind(),
             InstrKind::PrefetchI {
                 target: Addr::new(0x104)
             }
@@ -378,7 +378,7 @@ mod tests {
         continuity_holds(&rw);
         let instrs = rw.instructions();
         assert_eq!(instrs[1].pc, Addr::new(0x4));
-        assert!(matches!(instrs[2].kind, InstrKind::PrefetchI { .. }));
+        assert!(matches!(instrs[2].kind(), InstrKind::PrefetchI { .. }));
         assert_eq!(instrs[2].pc, Addr::new(0x8));
         assert_eq!(instrs[3].pc, Addr::new(0xc)); // shifted third alu
     }
@@ -412,7 +412,7 @@ mod tests {
         assert_eq!(report.inserted_sites, 2);
         let pf: Vec<_> = rw
             .iter()
-            .filter(|i| matches!(i.kind, InstrKind::PrefetchI { .. }))
+            .filter(|i| matches!(i.kind(), InstrKind::PrefetchI { .. }))
             .collect();
         assert_eq!(pf.len(), 2);
     }
@@ -439,7 +439,7 @@ mod tests {
         let stripped: Vec<InstrKind> = rw
             .iter()
             .filter(|i| !i.is_prefetch_i())
-            .map(|i| match i.kind {
+            .map(|i| match i.kind() {
                 InstrKind::Branch { kind, taken, .. } => InstrKind::Branch {
                     kind,
                     taken,
@@ -450,7 +450,7 @@ mod tests {
             .collect();
         let original: Vec<InstrKind> = trace
             .iter()
-            .map(|i| match i.kind {
+            .map(|i| match i.kind() {
                 InstrKind::Branch { kind, taken, .. } => InstrKind::Branch {
                     kind,
                     taken,

@@ -237,7 +237,7 @@ impl Backend {
             }
             let done = {
                 let slot = &self.rob[idx];
-                match slot.instr.kind {
+                match slot.instr.kind() {
                     InstrKind::Load { addr } => {
                         self.stats.loads.incr();
                         mem.access_data(addr.line(), now).complete_at

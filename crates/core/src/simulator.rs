@@ -6,7 +6,7 @@ use std::sync::Arc;
 use swip_cache::MemoryHierarchy;
 use swip_frontend::{AsmdbHintPrefetcher, Frontend, HintTable, InstructionPrefetcher};
 use swip_trace::Trace;
-use swip_types::{Addr, Cycle, InstrKind};
+use swip_types::{Addr, Cycle};
 
 use crate::{Backend, SimConfig, SimReport};
 
@@ -179,7 +179,7 @@ impl Simulator {
         let prefetch_instructions = trace
             .iter()
             .take(instructions as usize)
-            .filter(|i| matches!(i.kind, InstrKind::PrefetchI { .. }))
+            .filter(|i| i.is_prefetch_i())
             .count() as u64;
         let useful = instructions - prefetch_instructions;
         let cycles = now.max(1);

@@ -312,7 +312,7 @@ impl Frontend {
             kind,
             target,
             taken,
-        } = instr.kind
+        } = instr.kind()
         else {
             return;
         };
@@ -348,7 +348,7 @@ impl Frontend {
             let (start, end) = entry.seq_range();
             for seq in start..end {
                 let instr = &trace.instructions()[seq as usize];
-                if let InstrKind::PrefetchI { target } = instr.kind {
+                if let InstrKind::PrefetchI { target } = instr.kind() {
                     mem.prefetch_instr(target.line(), now);
                     self.stats.swpf_executed.incr();
                 }
@@ -370,7 +370,7 @@ impl Frontend {
                             kind,
                             target,
                             taken: true,
-                        } = last.kind
+                        } = last.kind()
                         {
                             self.branch.train_btb_from_predecode(last.pc, kind, target);
                         }
@@ -440,11 +440,11 @@ impl Frontend {
                 kind,
                 target,
                 taken,
-            } = instr.kind
+            } = instr.kind()
             {
                 self.branch.commit_spec(instr.pc, kind, target, taken);
             }
-            match (prediction, instr.kind) {
+            match (prediction, instr.kind()) {
                 (
                     None,
                     InstrKind::Branch {

@@ -122,7 +122,7 @@ pub(crate) fn encode<W: Write>(trace: &Trace, w: W) -> io::Result<()> {
 fn encode_instr<W: Write>(i: &Instruction, w: &mut W) -> io::Result<()> {
     w.write_all(&i.pc.raw().to_le_bytes())?;
     w.write_all(&[i.size])?;
-    match i.kind {
+    match i.kind() {
         InstrKind::Alu => w.write_all(&[0u8])?,
         InstrKind::Load { addr } => {
             w.write_all(&[1u8])?;
@@ -218,26 +218,20 @@ fn decode_instr<R: Read>(r: &mut R) -> Result<Instruction, DecodeError> {
         },
         t => return Err(DecodeError::BadTag(t)),
     };
+    // `new` takes any kind: a not-taken unconditional branch decodes, and
+    // the trace lints report it.
+    let mut instr = Instruction::new(pc, kind).with_size(size);
     let mask = read_u8(r)?;
-    let mut srcs = [None; 3];
-    for (bit, slot) in srcs.iter_mut().enumerate() {
+    for (bit, slot) in instr.srcs.iter_mut().enumerate() {
         if mask & (1 << bit) != 0 {
             *slot = Some(read_reg(r)?);
         }
     }
     let dst_byte = read_u8(r)?;
-    let dst = if dst_byte == NO_REG {
-        None
-    } else {
-        Some(check_reg(dst_byte)?)
-    };
-    Ok(Instruction {
-        pc,
-        size,
-        kind,
-        srcs,
-        dst,
-    })
+    if dst_byte != NO_REG {
+        instr.dst = Some(check_reg(dst_byte)?);
+    }
+    Ok(instr)
 }
 
 fn check_reg(byte: u8) -> Result<Reg, DecodeError> {

@@ -61,7 +61,7 @@ impl TraceSummary {
         let mut lines = BTreeSet::new();
         for i in trace.iter() {
             s.total += 1;
-            match i.kind {
+            match i.kind() {
                 InstrKind::Alu => s.alu += 1,
                 InstrKind::Load { .. } => s.loads += 1,
                 InstrKind::Store { .. } => s.stores += 1,

@@ -89,61 +89,104 @@ pub enum InstrKind {
 
 /// One dynamic instruction as it appears in a trace.
 ///
-/// This is a passive, public-field record ([C-STRUCT-PRIVATE]'s "C spirit"
-/// exception): the simulator pipeline reads every field and there are no
-/// invariants beyond construction.
+/// `pc`, `size`, `srcs` and `dst` are public fields. The operation class
+/// is packed into two private fields, so it is read with
+/// [`Instruction::kind`] and set by the constructors or
+/// [`Instruction::with_kind`].
 ///
 /// # Examples
 ///
 /// ```
-/// use swip_types::{Addr, Instruction, Reg};
+/// use swip_types::{Addr, InstrKind, Instruction, Reg};
 ///
 /// let ld = Instruction::load(Addr::new(0x400), Addr::new(0x9000))
 ///     .with_dst(Reg::new(1))
 ///     .with_srcs(&[Reg::new(2)]);
 /// assert!(ld.is_memory());
+/// assert_eq!(ld.kind(), InstrKind::Load { addr: Addr::new(0x9000) });
 /// assert_eq!(ld.next_pc(), Addr::new(0x404));
 /// ```
 ///
-/// [C-STRUCT-PRIVATE]: https://rust-lang.github.io/api-guidelines/future-proofing.html
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+/// # Layout
+///
+/// A session holds every trace it simulates, original and rewritten, so
+/// the record is kept to 24 bytes (DESIGN.md §13). [`InstrKind`]'s
+/// address payload is one `u64` operand (0 for [`InstrKind::Alu`]), and
+/// its variant, [`BranchKind`] and taken bit are one class byte. Every
+/// `InstrKind` value round-trips through `with_kind` and `kind`, the
+/// not-taken unconditional branches a decoder may meet included, and two
+/// instructions are equal exactly when their fields and kinds are.
+#[derive(Copy, Clone, PartialEq, Eq, Hash)]
 pub struct Instruction {
     /// Program counter of this instruction.
     pub pc: Addr,
+    /// The address payload of [`Instruction::kind`].
+    operand: u64,
     /// Encoded size in bytes (normally [`DEFAULT_INSTR_SIZE`]).
     pub size: u8,
-    /// Operation class and payload.
-    pub kind: InstrKind,
+    /// The variant of [`Instruction::kind`], in the layout of `class`.
+    class: u8,
     /// Source registers (up to 3, CVP-1 style). `None` slots are unused.
     pub srcs: [Option<Reg>; 3],
     /// Destination register, if any.
     pub dst: Option<Reg>,
 }
 
+const _: () = assert!(std::mem::size_of::<Instruction>() == 24);
+
+/// The class byte: `ALU`, `LOAD`, `STORE` or `PREFETCH_I`, or for a
+/// branch `BRANCH`, the [`BranchKind`] in the low three bits, and `TAKEN`.
+mod class {
+    pub const ALU: u8 = 0;
+    pub const LOAD: u8 = 1;
+    pub const STORE: u8 = 2;
+    pub const PREFETCH_I: u8 = 3;
+    pub const BRANCH: u8 = 1 << 3;
+    pub const TAKEN: u8 = 1 << 4;
+    pub const BRANCH_KIND: u8 = 0b111;
+}
+
+impl BranchKind {
+    /// Every kind, indexed by its position in the declaration.
+    const ALL: [BranchKind; 6] = [
+        BranchKind::CondDirect,
+        BranchKind::UncondDirect,
+        BranchKind::IndirectJump,
+        BranchKind::DirectCall,
+        BranchKind::IndirectCall,
+        BranchKind::Return,
+    ];
+}
+
 impl Instruction {
-    fn with_kind(pc: Addr, kind: InstrKind) -> Self {
+    /// Creates an instruction of any kind at `pc`, with the default size
+    /// and no registers. Unlike [`Instruction::branch`] it accepts a
+    /// not-taken unconditional branch.
+    pub const fn new(pc: Addr, kind: InstrKind) -> Self {
         Instruction {
             pc,
+            operand: 0,
             size: DEFAULT_INSTR_SIZE,
-            kind,
+            class: class::ALU,
             srcs: [None; 3],
             dst: None,
         }
+        .with_kind(kind)
     }
 
     /// Creates an ALU instruction at `pc`.
     pub fn alu(pc: Addr) -> Self {
-        Self::with_kind(pc, InstrKind::Alu)
+        Self::new(pc, InstrKind::Alu)
     }
 
     /// Creates a load from `addr` at `pc`.
     pub fn load(pc: Addr, addr: Addr) -> Self {
-        Self::with_kind(pc, InstrKind::Load { addr })
+        Self::new(pc, InstrKind::Load { addr })
     }
 
     /// Creates a store to `addr` at `pc`.
     pub fn store(pc: Addr, addr: Addr) -> Self {
-        Self::with_kind(pc, InstrKind::Store { addr })
+        Self::new(pc, InstrKind::Store { addr })
     }
 
     /// Creates a conditional direct branch.
@@ -186,7 +229,7 @@ impl Instruction {
             taken || !kind.is_unconditional(),
             "unconditional branch at {pc} cannot be not-taken"
         );
-        Self::with_kind(
+        Self::new(
             pc,
             InstrKind::Branch {
                 kind,
@@ -198,7 +241,44 @@ impl Instruction {
 
     /// Creates a software instruction prefetch of `target`'s line.
     pub fn prefetch_i(pc: Addr, target: Addr) -> Self {
-        Self::with_kind(pc, InstrKind::PrefetchI { target })
+        Self::new(pc, InstrKind::PrefetchI { target })
+    }
+
+    /// The operation class and payload.
+    pub const fn kind(&self) -> InstrKind {
+        let addr = Addr::new(self.operand);
+        match self.class {
+            class::ALU => InstrKind::Alu,
+            class::LOAD => InstrKind::Load { addr },
+            class::STORE => InstrKind::Store { addr },
+            class::PREFETCH_I => InstrKind::PrefetchI { target: addr },
+            c => InstrKind::Branch {
+                kind: BranchKind::ALL[(c & class::BRANCH_KIND) as usize],
+                target: addr,
+                taken: c & class::TAKEN != 0,
+            },
+        }
+    }
+
+    /// Replaces the operation class and payload (builder style). Any
+    /// `InstrKind` is accepted, as by [`Instruction::new`].
+    #[must_use]
+    pub const fn with_kind(mut self, kind: InstrKind) -> Self {
+        (self.class, self.operand) = match kind {
+            InstrKind::Alu => (class::ALU, 0),
+            InstrKind::Load { addr } => (class::LOAD, addr.raw()),
+            InstrKind::Store { addr } => (class::STORE, addr.raw()),
+            InstrKind::Branch {
+                kind,
+                target,
+                taken,
+            } => {
+                let taken = if taken { class::TAKEN } else { 0 };
+                (class::BRANCH | kind as u8 | taken, target.raw())
+            }
+            InstrKind::PrefetchI { target } => (class::PREFETCH_I, target.raw()),
+        };
+        self
     }
 
     /// Sets the source registers (builder style). Extra entries beyond 3 are
@@ -227,22 +307,22 @@ impl Instruction {
 
     /// True if this is any control-transfer instruction.
     pub const fn is_branch(&self) -> bool {
-        matches!(self.kind, InstrKind::Branch { .. })
+        self.class & class::BRANCH != 0
     }
 
     /// True if this is a load or store.
     pub const fn is_memory(&self) -> bool {
-        matches!(self.kind, InstrKind::Load { .. } | InstrKind::Store { .. })
+        matches!(self.class, class::LOAD | class::STORE)
     }
 
     /// True if this is a software instruction prefetch.
     pub const fn is_prefetch_i(&self) -> bool {
-        matches!(self.kind, InstrKind::PrefetchI { .. })
+        self.class == class::PREFETCH_I
     }
 
     /// The branch kind, if this is a branch.
     pub fn branch_kind(&self) -> Option<BranchKind> {
-        match self.kind {
+        match self.kind() {
             InstrKind::Branch { kind, .. } => Some(kind),
             _ => None,
         }
@@ -250,28 +330,22 @@ impl Instruction {
 
     /// The trace-recorded taken outcome; `false` for non-branches.
     pub fn is_taken(&self) -> bool {
-        matches!(self.kind, InstrKind::Branch { taken: true, .. })
+        self.class & class::TAKEN != 0
     }
 
     /// The branch target, if this is a branch.
     pub fn branch_target(&self) -> Option<Addr> {
-        match self.kind {
-            InstrKind::Branch { target, .. } => Some(target),
-            _ => None,
-        }
+        self.is_branch().then_some(Addr::new(self.operand))
     }
 
     /// The address of the instruction that architecturally follows this one
     /// in the dynamic stream: the branch target when taken, else the
     /// fall-through.
     pub fn next_pc(&self) -> Addr {
-        match self.kind {
-            InstrKind::Branch {
-                target,
-                taken: true,
-                ..
-            } => target,
-            _ => self.fallthrough(),
+        if self.is_taken() {
+            Addr::new(self.operand)
+        } else {
+            self.fallthrough()
         }
     }
 
@@ -281,9 +355,22 @@ impl Instruction {
     }
 }
 
+impl fmt::Debug for Instruction {
+    /// The fields, with `kind` in place of the packed operand and class.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Instruction")
+            .field("pc", &self.pc)
+            .field("size", &self.size)
+            .field("kind", &self.kind())
+            .field("srcs", &self.srcs)
+            .field("dst", &self.dst)
+            .finish()
+    }
+}
+
 impl fmt::Display for Instruction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.kind {
+        match self.kind() {
             InstrKind::Alu => write!(f, "{}: alu", self.pc),
             InstrKind::Load { addr } => write!(f, "{}: load [{addr}]", self.pc),
             InstrKind::Store { addr } => write!(f, "{}: store [{addr}]", self.pc),
@@ -359,6 +446,55 @@ mod tests {
         assert_eq!(i.srcs[0], Some(Reg::new(1)));
         assert_eq!(i.srcs[1], Some(Reg::new(2)));
         assert_eq!(i.srcs[2], None);
+    }
+
+    #[test]
+    fn every_kind_round_trips_through_the_packed_form() {
+        let pc = Addr::new(0x100);
+        let a = Addr::new(0xdead_beef_0040);
+        let mut kinds = vec![
+            InstrKind::Alu,
+            InstrKind::Load { addr: a },
+            InstrKind::Store { addr: a },
+            InstrKind::PrefetchI { target: a },
+        ];
+        for kind in BranchKind::ALL {
+            for taken in [false, true] {
+                kinds.push(InstrKind::Branch {
+                    kind,
+                    target: a,
+                    taken,
+                });
+            }
+        }
+        for k in kinds {
+            let i = Instruction::new(pc, k);
+            assert_eq!(i.kind(), k);
+            assert_eq!(Instruction::load(pc, pc).with_kind(k), i);
+            assert_eq!(i.is_branch(), matches!(k, InstrKind::Branch { .. }));
+            assert_eq!(
+                i.is_taken(),
+                matches!(k, InstrKind::Branch { taken: true, .. })
+            );
+            assert_eq!(
+                i.is_memory(),
+                matches!(k, InstrKind::Load { .. } | InstrKind::Store { .. })
+            );
+            assert_eq!(i.is_prefetch_i(), matches!(k, InstrKind::PrefetchI { .. }));
+            assert_eq!(i.branch_target().is_some(), i.is_branch());
+        }
+    }
+
+    #[test]
+    fn debug_names_the_kind_not_the_packing() {
+        let i = Instruction::load(Addr::new(0x400), Addr::new(0x9000))
+            .with_srcs(&[Reg::new(2)])
+            .with_dst(Reg::new(1));
+        assert_eq!(
+            format!("{i:?}"),
+            "Instruction { pc: Addr(0x400), size: 4, kind: Load { addr: Addr(0x9000) }, \
+             srcs: [Some(r2), None, None], dst: Some(r1) }"
+        );
     }
 
     #[test]

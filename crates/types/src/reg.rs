@@ -1,6 +1,7 @@
 //! Architectural register identifiers.
 
 use std::fmt;
+use std::num::NonZeroU8;
 
 /// An architectural register identifier.
 ///
@@ -16,8 +17,13 @@ use std::fmt;
 /// let r = Reg::new(3);
 /// assert_eq!(r.index(), 3);
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Reg(u8);
+///
+/// The index is stored plus one in a `NonZeroU8`, so the zero byte is a
+/// niche and `Option<Reg>` (an instruction's operand slot) is one byte.
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Reg(NonZeroU8);
+
+const _: () = assert!(std::mem::size_of::<Option<Reg>>() == 1);
 
 impl Reg {
     /// Number of architectural registers in the simulated ISA.
@@ -34,24 +40,24 @@ impl Reg {
             "register index {index} out of range (< {})",
             Self::COUNT
         );
-        Reg(index)
+        Reg(NonZeroU8::MIN.saturating_add(index))
     }
 
     /// Returns the register index as a `usize` suitable for table lookup.
     pub const fn index(self) -> usize {
-        self.0 as usize
+        self.0.get() as usize - 1
     }
 }
 
 impl fmt::Debug for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "r{}", self.0)
+        write!(f, "r{}", self.index())
     }
 }
 
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "r{}", self.0)
+        write!(f, "r{}", self.index())
     }
 }
 
@@ -75,5 +81,11 @@ mod tests {
     #[test]
     fn debug_format() {
         assert_eq!(format!("{:?}", Reg::new(7)), "r7");
+        assert_eq!(format!("{}", Reg::new(0)), "r0");
+    }
+
+    #[test]
+    fn order_follows_the_index() {
+        assert!(Reg::new(0) < Reg::new(1) && Reg::new(62) < Reg::new(63));
     }
 }

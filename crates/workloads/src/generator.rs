@@ -223,7 +223,7 @@ mod tests {
         let t = generate(spec);
         let mut stack: Vec<Addr> = Vec::new();
         for i in t.iter() {
-            if let InstrKind::Branch { kind, target, .. } = i.kind {
+            if let InstrKind::Branch { kind, target, .. } = i.kind() {
                 match kind {
                     BranchKind::DirectCall | BranchKind::IndirectCall => {
                         stack.push(i.pc.add(4));
@@ -245,7 +245,7 @@ mod tests {
         let t = generate(spec);
         let mut kinds: HashMap<u64, std::mem::Discriminant<InstrKind>> = HashMap::new();
         for i in t.iter() {
-            let d = std::mem::discriminant(&i.kind);
+            let d = std::mem::discriminant(&i.kind());
             if let Some(prev) = kinds.insert(i.pc.raw(), d) {
                 assert_eq!(prev, d, "instruction kind changed at {}", i.pc);
             }

@@ -9,7 +9,7 @@ use swip_analyze::{
 };
 use swip_asmdb::{rewrite_trace, Cfg, Insertion, Plan};
 use swip_trace::{Trace, TraceBuilder};
-use swip_types::{Addr, InstrKind, Instruction};
+use swip_types::{Addr, BranchKind, InstrKind, Instruction};
 
 /// Asserts that `diags` contains `rule` and nothing of a *higher* severity
 /// that isn't also `rule` (i.e. the corpus file triggers what it claims).
@@ -108,10 +108,14 @@ fn t010_discontinuity() {
 
 #[test]
 fn t011_not_taken_unconditional() {
-    let mut jump = Instruction::jump(Addr::new(0x0), Addr::new(0x40));
-    if let InstrKind::Branch { taken, .. } = &mut jump.kind {
-        *taken = false;
-    }
+    let jump = Instruction::new(
+        Addr::new(0x0),
+        InstrKind::Branch {
+            kind: BranchKind::UncondDirect,
+            target: Addr::new(0x40),
+            taken: false,
+        },
+    );
     let t = Trace::from_instructions("corpus", vec![jump, Instruction::alu(Addr::new(0x4))]);
     assert_rule(&lint_trace(&t), "T011");
 }
@@ -389,9 +393,9 @@ fn r003_retargeted_prefetch() {
     let (t, plan, rw) = rewrite_fixture();
     let mut instrs = rw.instructions().to_vec();
     let pf = instrs.iter_mut().find(|i| i.is_prefetch_i()).unwrap();
-    pf.kind = InstrKind::PrefetchI {
+    *pf = pf.with_kind(InstrKind::PrefetchI {
         target: Addr::new(0xf000),
-    };
+    });
     let bad = Trace::from_instructions(rw.name(), instrs);
     assert_rule(&diff_rewrite(&t, &plan, &bad), "R003");
 }

@@ -214,8 +214,8 @@ fn rewrite_invariants_hold() {
         for (o, k) in originals.iter().zip(&kept) {
             assert!(k.pc >= o.pc, "case {case}");
             assert_eq!(
-                std::mem::discriminant(&k.kind),
-                std::mem::discriminant(&o.kind),
+                std::mem::discriminant(&k.kind()),
+                std::mem::discriminant(&o.kind()),
                 "case {case}"
             );
         }
