@@ -1,13 +1,17 @@
 //! Regression gates against pre-refactor fixtures: the prefetcher-trait
-//! seam must not move a single figure byte, and schema-v1 report
-//! documents must keep parsing.
+//! seam must not move a single figure byte, schema-v1 report documents
+//! must keep parsing, and packing `Instruction` into 24 bytes must not
+//! move the `SWIP` trace bytes or the trace-cache keys.
 //!
 //! `tests/fixtures/` was captured from the tree immediately before the
 //! `InstructionPrefetcher` extraction, at `--instructions 20000 --stride
-//! 48 --threads 2` (one workload, `public_srv_60`).
+//! 48 --threads 2` (one workload, `public_srv_60`). The codec and cache
+//! digests below were taken from the tree before the packing.
 
 use swip_bench::{build_run_report, figures, ConfigId, ExperimentPlan, SessionBuilder};
 use swip_report::RunReport;
+use swip_trace::Trace;
+use swip_types::{Addr, BranchKind, Fnv1a, InstrKind, Instruction, Reg};
 
 fn fixture(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -96,4 +100,102 @@ fn v1_report_fixture_parses_and_matches_a_fresh_run() {
             );
         }
     }
+}
+
+/// `every_record_shape()`'s encoding, and `public_srv_60`'s trace-cache
+/// key and file at 20k instructions, as the tree before the packing wrote
+/// them.
+const PINNED_LEN: usize = 428;
+const PINNED_DIGEST: &str = "49f45c9967c71e57";
+const PINNED_KEY: &str = "0741e292d3c302ba";
+const PINNED_TRACE_LEN: usize = 354_407;
+const PINNED_TRACE_DIGEST: &str = "219e5d4169374af6";
+
+/// The length and FNV-1a digest of `trace`'s `SWIP` encoding.
+fn encoding(trace: &Trace) -> (usize, String) {
+    let mut bytes = Vec::new();
+    trace.write_to(&mut bytes).unwrap();
+    let mut h = Fnv1a::new();
+    h.write(&bytes);
+    (bytes.len(), h.finish())
+}
+
+/// Every record shape the `SWIP` codec writes: each `InstrKind` variant,
+/// the six branch kinds taken and not taken (a not-taken unconditional
+/// branch is malformed, but decodes and must encode), zero to three
+/// sources, a gap in the sources, with and without a destination, and a
+/// non-default size.
+fn every_record_shape() -> Trace {
+    let r = Reg::new;
+    let mut gap = Instruction::load(Addr::new(0x101a), Addr::new(0x10)).with_dst(r(9));
+    gap.srcs = [None, Some(r(8)), None];
+    let mut instrs = vec![
+        Instruction::alu(Addr::new(0x1000)),
+        Instruction::alu(Addr::new(0x1004)).with_dst(r(0)),
+        Instruction::load(Addr::new(0x1008), Addr::new(0x7fff_0000_9000))
+            .with_srcs(&[r(1)])
+            .with_dst(r(63)),
+        Instruction::store(Addr::new(0x100c), Addr::new(0x9040)).with_srcs(&[r(2), r(3)]),
+        Instruction::prefetch_i(Addr::new(0x1010), Addr::new(0x2000))
+            .with_srcs(&[r(4), r(5), r(6)])
+            .with_dst(r(7)),
+        Instruction::alu(Addr::new(0x1014)).with_size(6),
+        gap,
+    ];
+    let kinds = [
+        BranchKind::CondDirect,
+        BranchKind::UncondDirect,
+        BranchKind::IndirectJump,
+        BranchKind::DirectCall,
+        BranchKind::IndirectCall,
+        BranchKind::Return,
+    ];
+    let mut pc = 0x2000;
+    for kind in kinds {
+        for taken in [false, true] {
+            let target = Addr::new(pc + 0x40);
+            instrs.push(
+                Instruction::new(
+                    Addr::new(pc),
+                    InstrKind::Branch {
+                        kind,
+                        target,
+                        taken,
+                    },
+                )
+                .with_srcs(&[r(10)]),
+            );
+            pc += 4;
+        }
+    }
+    Trace::from_instructions("codec-pin", instrs)
+}
+
+/// The on-disk bytes do not depend on the in-memory layout, and they
+/// decode back to an equal trace.
+#[test]
+fn swip_bytes_survive_the_instruction_packing() {
+    let trace = every_record_shape();
+    assert_eq!(encoding(&trace), (PINNED_LEN, PINNED_DIGEST.to_string()));
+    let mut bytes = Vec::new();
+    trace.write_to(&mut bytes).unwrap();
+    assert_eq!(Trace::read_from(bytes.as_slice()).unwrap(), trace);
+}
+
+/// A cache key and the file it names keep their bytes, so cache
+/// directories written before the packing stay valid.
+#[test]
+fn trace_cache_keys_survive_the_instruction_packing() {
+    let session = SessionBuilder::new()
+        .instructions(20_000)
+        .stride(48)
+        .build()
+        .unwrap();
+    let spec = &session.workloads()[0];
+    assert_eq!(spec.name, "public_srv_60");
+    assert_eq!(session.trace_fingerprint(spec), PINNED_KEY);
+    assert_eq!(
+        encoding(&session.trace(spec)),
+        (PINNED_TRACE_LEN, PINNED_TRACE_DIGEST.to_string())
+    );
 }

@@ -202,3 +202,44 @@ fn preload_lands_within_0_2_percent_of_no_overhead_hints() {
         "preload geomean {preload:.4} is not within 0.2% of the hints' {hints:.4}"
     );
 }
+
+/// ablation_ftq: the geomean speedup over the conservative baseline never
+/// falls as the FTQ deepens (recorded: 1.0000, 1.1854, 1.2377, 1.2435,
+/// 1.2450, 1.2453, 1.2456). Single workloads can dip (`public_srv_60`'s
+/// FTQ32 1.1615 < FTQ24 1.1616), so only the geomean is asserted.
+#[test]
+fn ablation_ftq_geomean_never_falls_with_depth() {
+    const DEPTHS: [usize; 7] = [2, 4, 8, 12, 16, 24, 32];
+    let (session, results) = smoke();
+    let geomeans = DEPTHS.map(|depth| {
+        let config = SimConfig::sunny_cove_like().with_ftq_entries(depth);
+        let speedups: Vec<f64> = session
+            .workloads()
+            .iter()
+            .zip(results)
+            .map(|(spec, r)| {
+                Simulator::new(config.clone())
+                    .run(&session.trace(spec))
+                    .speedup_over(r.base())
+            })
+            .collect();
+        geomean(&speedups)
+    });
+    for (depths, pair) in DEPTHS.windows(2).zip(geomeans.windows(2)) {
+        assert!(
+            pair[1] >= pair[0],
+            "geomean speedup falls from FTQ{} {:.4} to FTQ{} {:.4}",
+            depths[0],
+            pair[0],
+            depths[1],
+            pair[1]
+        );
+    }
+    // Not vacuous: depth moves the geomean.
+    assert!(
+        geomeans[6] > geomeans[0],
+        "FTQ32 {:.4} is not above FTQ2 {:.4}",
+        geomeans[6],
+        geomeans[0]
+    );
+}
