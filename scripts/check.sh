@@ -19,28 +19,43 @@ echo "==> perfbench self-tests (its own workspace; tier-1 never builds it)"
 # it must fail here rather than only when the benchmark runs.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+# Runs perfbench with the given arguments, logging to target/$1, and fails
+# unless its last line reads "correct":true with 0 failed operations.
+perfbench_pass() {
+    log="target/$1"
+    shift
+    mkdir -p target
+    if ! cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        "$@" >"$log" 2>&1; then
+        cat "$log" >&2
+        echo "FAIL: perfbench $* exited nonzero" >&2
+        exit 1
+    fi
+    case "$(tail -n 1 "$log")" in
+    *'"correct":true,'*'"failed":0,'*) ;;
+    *)
+        grep -E '^(FAILED|note)' "$log" >&2 || true
+        echo "FAIL: perfbench $* is not correct with 0 failed operations" >&2
+        exit 1
+        ;;
+    esac
+}
+
 echo "==> perfbench traced serve pass (every-cycle replica vs the idle-skipping loop)"
 # Simulator::run jumps over idle cycles. The traced pass re-simulates 6
 # traces x 8 configurations at 50k with a replica that ticks every cycle
 # through the public API, and counts a failed operation for each run whose
 # cycles or retired instructions differ from the engine's.
-perfbench_log="target/perfbench-serve-trace.log"
-mkdir -p target
-if ! cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload serve_short_jobs --trace 1 --seconds 1 >"$perfbench_log" 2>&1; then
-    cat "$perfbench_log" >&2
-    echo "FAIL: perfbench's traced serve pass exited nonzero" >&2
-    exit 1
-fi
-case "$(tail -n 1 "$perfbench_log")" in
-*'"correct":true,'*'"failed":0,'*) ;;
-*)
-    grep -E '^(FAILED|note)' "$perfbench_log" >&2 || true
-    echo "FAIL: perfbench's traced serve pass is not correct with 0 failed operations" >&2
-    exit 1
-    ;;
-esac
+perfbench_pass perfbench-serve-trace.log --workload serve_short_jobs --trace 1 --seconds 1
 echo "perfbench's every-cycle replica matches the engine on every traced run"
+
+echo "==> perfbench sweep_server at 1M (results held to the stored 1M digests)"
+# The pass above holds results to the stored digests at 50k only. One
+# timed round of sweep_server holds the three 1M server traces to theirs,
+# which is where a wrong decode of an instruction's packed kind
+# (Instruction::kind) would show at sweep scale.
+perfbench_pass perfbench-sweep-server.log --workload sweep_server --seconds 1
+echo "sweep_server's 1M results match the stored digests"
 
 echo "==> smoke: swip bench --instructions 100000 --stride 16 --threads 4"
 # At 100k AsmDB inserts prefetches on all three workloads; at 50k two of
