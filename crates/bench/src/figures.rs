@@ -504,7 +504,7 @@ fn extension_hw_prefetch(session: &Session) -> Result<Vec<PathBuf>, BenchError> 
             let hints = session.asmdb(spec).hint_table.clone();
             let runs = vec![
                 fdp.run(trace),
-                fdp.run_with_prefetcher(trace, Box::new(NextLinePrefetcher::new())),
+                fdp.run_with_prefetcher(trace, Box::new(NextLinePrefetcher)),
                 fdp.run_with_prefetcher(trace, Box::new(EntanglingPrefetcher::new())),
                 fdp.run_with_hint_table(trace, hints),
             ];

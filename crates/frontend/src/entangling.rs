@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 use swip_cache::{AccessResult, Level, MemoryHierarchy};
 use swip_types::{Cycle, LineAddr};
 
-use crate::prefetch::{InstructionPrefetcher, PrefetcherSnapshot};
+use crate::prefetch::InstructionPrefetcher;
 
 /// log2 of the entangling-table entry count.
 const TABLE_LOG2: u32 = 12;
@@ -64,9 +64,6 @@ struct EntEntry {
 pub struct EntanglingPrefetcher {
     table: Vec<Option<EntEntry>>,
     history: VecDeque<(LineAddr, Cycle)>,
-    enabled: bool,
-    entangles: u64,
-    issued: u64,
 }
 
 impl Default for EntanglingPrefetcher {
@@ -81,9 +78,6 @@ impl EntanglingPrefetcher {
         EntanglingPrefetcher {
             table: vec![None; 1 << TABLE_LOG2],
             history: VecDeque::with_capacity(HISTORY_LEN),
-            enabled: true,
-            entangles: 0,
-            issued: 0,
         }
     }
 
@@ -138,7 +132,6 @@ impl EntanglingPrefetcher {
             }
             dsts.lines[dsts.len] = line;
             dsts.len += 1;
-            self.entangles += 1;
         }
         self.table[idx] = Some(EntEntry { tag, dsts });
     }
@@ -156,7 +149,7 @@ impl InstructionPrefetcher for EntanglingPrefetcher {
         result: AccessResult,
         mem: &mut MemoryHierarchy,
     ) {
-        if !self.enabled || result.merged {
+        if result.merged {
             return;
         }
         let dsts = self.on_demand_access(line, now);
@@ -164,26 +157,8 @@ impl InstructionPrefetcher for EntanglingPrefetcher {
             self.on_demand_miss(line, now, result.complete_at - now);
         }
         for &dst in dsts.as_slice() {
-            if mem.prefetch_instr(dst, now).is_some() {
-                self.issued += 1;
-            }
+            mem.prefetch_instr(dst, now);
         }
-    }
-
-    fn snapshot(&self) -> PrefetcherSnapshot {
-        PrefetcherSnapshot {
-            trained: self.entangles,
-            issued: self.issued,
-            metadata_requests: 0,
-        }
-    }
-
-    fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    fn enabled(&self) -> bool {
-        self.enabled
     }
 }
 
@@ -219,7 +194,6 @@ mod tests {
         p.on_demand_access(line(3), 100);
         // Miss at t=100 with latency 80 → need_by=20 → source is line 1.
         p.on_demand_miss(line(9), 100, 80);
-        assert_eq!(p.snapshot().trained, 1);
         // A later access to line 1 prefetches line 9.
         let out = p.on_demand_access(line(1), 200);
         assert_eq!(out.as_slice(), [line(9)]);
@@ -254,7 +228,7 @@ mod tests {
         let mut p = EntanglingPrefetcher::new();
         p.on_demand_access(line(5), 0);
         p.on_demand_miss(line(5), 100, 80);
-        assert_eq!(p.snapshot().trained, 0);
+        assert!(p.on_demand_access(line(5), 200).as_slice().is_empty());
     }
 
     #[test]
@@ -263,7 +237,7 @@ mod tests {
         p.on_demand_access(line(1), 0);
         p.on_demand_miss(line(9), 100, 80);
         p.on_demand_miss(line(9), 200, 80);
-        assert_eq!(p.snapshot().trained, 1);
+        assert_eq!(p.on_demand_access(line(1), 300).as_slice(), [line(9)]);
     }
 
     #[test]
@@ -284,8 +258,9 @@ mod tests {
                 now += 100;
             }
         }
-        assert!(p.snapshot().trained >= 1);
-        assert!(p.snapshot().issued >= 1);
+        assert!(!m.l1i_contains(line(50)), "line 50 must be evicted");
+        fetch(&mut p, &mut m, line(1), now);
+        assert!(m.l1i_contains(line(50)), "line 1 did not prefetch line 50");
     }
 
     #[test]

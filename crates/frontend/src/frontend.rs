@@ -146,7 +146,7 @@ impl Frontend {
             tracked_lines: HashMap::new(),
             pending_lines: 0,
             mispredicted: HashSet::new(),
-            prefetcher: Box::new(FdpPrefetcher::new()),
+            prefetcher: Box::new(FdpPrefetcher),
             timeline: None,
             stats: FtqStats::default(),
             config,
@@ -186,17 +186,6 @@ impl Frontend {
     /// [`FdpPrefetcher`]).
     pub fn set_prefetcher(&mut self, prefetcher: Box<dyn InstructionPrefetcher>) {
         self.prefetcher = prefetcher;
-    }
-
-    /// The active prefetch mechanism (for snapshot inspection).
-    pub fn prefetcher(&self) -> &dyn InstructionPrefetcher {
-        self.prefetcher.as_ref()
-    }
-
-    /// Mutable access to the active prefetch mechanism (tests use this to
-    /// toggle [`InstructionPrefetcher::set_enabled`] mid-run).
-    pub fn prefetcher_mut(&mut self) -> &mut dyn InstructionPrefetcher {
-        self.prefetcher.as_mut()
     }
 
     /// The front-end configuration.

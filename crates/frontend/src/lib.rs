@@ -65,7 +65,7 @@ pub use frontend::{DecodedInstr, Frontend, Ftq};
 pub use hints::HintTable;
 pub use prefetch::{
     AsmdbHintPrefetcher, FdpPrefetcher, InstructionPrefetcher, ManaPrefetcher, NextLinePrefetcher,
-    PrefetcherSnapshot, PreloadPrefetcher, ShadowBtbPrefetcher,
+    PreloadPrefetcher, ShadowBtbPrefetcher,
 };
 pub use stats::{FtqStats, Scenario};
 pub use timeline::{ScenarioTimeline, TimelineConfig, TimelineSample};

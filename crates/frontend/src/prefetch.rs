@@ -47,30 +47,13 @@ use crate::hints::HintTable;
 use crate::stats::FtqStats;
 use crate::PreloadConfig;
 
-/// A monotone summary of what a prefetcher has done so far.
-///
-/// Every counter only ever grows over a run (the trait-conformance suite
-/// asserts this); the fields are deliberately mechanism-neutral so the
-/// report layer can print any implementation the same way.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub struct PrefetcherSnapshot {
-    /// Training events absorbed (hint anchors seen, successions recorded,
-    /// shadow branches captured).
-    pub trained: u64,
-    /// Prefetches actually issued into the memory hierarchy.
-    pub issued: u64,
-    /// Metadata requests sent (zero for mechanisms without a metadata
-    /// store).
-    pub metadata_requests: u64,
-}
-
 /// An instruction-prefetch mechanism plugged in at the L1I/front-end
 /// boundary.
 ///
 /// All hooks default to no-ops so a mechanism only implements the seams
-/// it uses; `snapshot`/`set_enabled`/`enabled` are the mandatory surface.
-/// See the module docs for the in-cycle hook order and the state each
-/// hook may touch.
+/// it uses. A mechanism counts what it does only in [`FtqStats`] and the
+/// hierarchy's counters, which the run report carries. See the module
+/// docs for the in-cycle hook order and the state each hook may touch.
 pub trait InstructionPrefetcher: Send {
     /// Per-cycle maintenance, after fetch issue: complete latency-delayed
     /// metadata arrivals and fire their prefetches.
@@ -127,16 +110,6 @@ pub trait InstructionPrefetcher: Send {
     ) {
         let _ = (line, now, result, mem);
     }
-
-    /// The mechanism's monotone activity counters.
-    fn snapshot(&self) -> PrefetcherSnapshot;
-
-    /// Enables or disables the mechanism. While disabled, no hook may
-    /// train state or issue a prefetch.
-    fn set_enabled(&mut self, enabled: bool);
-
-    /// True when the mechanism is active (the default).
-    fn enabled(&self) -> bool;
 }
 
 /// Fetch-directed prefetching: the decoupled FTQ run-ahead *is* the
@@ -144,54 +117,14 @@ pub trait InstructionPrefetcher: Send {
 /// the baseline and FDP configurations route through the same seam as
 /// everything else.
 #[derive(Debug, Default)]
-pub struct FdpPrefetcher {
-    disabled: bool,
-}
+pub struct FdpPrefetcher;
 
-impl FdpPrefetcher {
-    /// Creates the (stateless) FDP prefetcher.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl InstructionPrefetcher for FdpPrefetcher {
-    fn snapshot(&self) -> PrefetcherSnapshot {
-        PrefetcherSnapshot::default()
-    }
-
-    fn set_enabled(&mut self, enabled: bool) {
-        self.disabled = !enabled;
-    }
-
-    fn enabled(&self) -> bool {
-        !self.disabled
-    }
-}
+impl InstructionPrefetcher for FdpPrefetcher {}
 
 /// Next-line prefetching: a demand fetch that misses the L1-I (and does
 /// not merge with a miss already in flight) prefetches the following line.
-#[derive(Debug)]
-pub struct NextLinePrefetcher {
-    enabled: bool,
-    issued: u64,
-}
-
-impl Default for NextLinePrefetcher {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl NextLinePrefetcher {
-    /// Creates the next-line prefetcher.
-    pub fn new() -> Self {
-        NextLinePrefetcher {
-            enabled: true,
-            issued: 0,
-        }
-    }
-}
+#[derive(Debug, Default)]
+pub struct NextLinePrefetcher;
 
 impl InstructionPrefetcher for NextLinePrefetcher {
     fn on_demand_fetch(
@@ -201,28 +134,10 @@ impl InstructionPrefetcher for NextLinePrefetcher {
         result: AccessResult,
         mem: &mut MemoryHierarchy,
     ) {
-        if !self.enabled || result.merged || result.level == Level::L1 {
+        if result.merged || result.level == Level::L1 {
             return;
         }
-        if mem.prefetch_instr(line.next(), now).is_some() {
-            self.issued += 1;
-        }
-    }
-
-    fn snapshot(&self) -> PrefetcherSnapshot {
-        PrefetcherSnapshot {
-            trained: 0,
-            issued: self.issued,
-            metadata_requests: 0,
-        }
-    }
-
-    fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    fn enabled(&self) -> bool {
-        self.enabled
+        mem.prefetch_instr(line.next(), now);
     }
 }
 
@@ -233,21 +148,13 @@ impl InstructionPrefetcher for NextLinePrefetcher {
 pub struct AsmdbHintPrefetcher {
     /// Trigger PC → target lines, shared across the runs of a sweep.
     table: Arc<HintTable>,
-    enabled: bool,
-    trained: u64,
-    issued: u64,
 }
 
 impl AsmdbHintPrefetcher {
     /// Wraps a shared hint table (keyed by trigger PC, as built by
     /// [`HintTable::from_pc_map`]).
     pub fn new(table: Arc<HintTable>) -> Self {
-        AsmdbHintPrefetcher {
-            table,
-            enabled: true,
-            trained: 0,
-            issued: 0,
-        }
+        AsmdbHintPrefetcher { table }
     }
 }
 
@@ -259,34 +166,13 @@ impl InstructionPrefetcher for AsmdbHintPrefetcher {
         mem: &mut MemoryHierarchy,
         stats: &mut FtqStats,
     ) {
-        if !self.enabled {
-            return;
-        }
         // The table lookup borrows the shared targets slice — no clone.
         if let Some(targets) = self.table.get(pc.raw()) {
-            self.trained += 1;
             for t in targets {
                 mem.prefetch_instr(t.line(), now);
                 stats.swpf_hinted.incr();
-                self.issued += 1;
             }
         }
-    }
-
-    fn snapshot(&self) -> PrefetcherSnapshot {
-        PrefetcherSnapshot {
-            trained: self.trained,
-            issued: self.issued,
-            metadata_requests: 0,
-        }
-    }
-
-    fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    fn enabled(&self) -> bool {
-        self.enabled
     }
 }
 
@@ -305,9 +191,6 @@ pub struct PreloadPrefetcher {
     /// Reused per-cycle scratch for the drained trigger lines (avoids a
     /// fresh `Vec` allocation on every `tick`).
     ready: Vec<u64>,
-    enabled: bool,
-    issued: u64,
-    metadata_requests: u64,
 }
 
 impl PreloadPrefetcher {
@@ -320,9 +203,6 @@ impl PreloadPrefetcher {
             l1_cache: VecDeque::new(),
             pending: HashMap::new(),
             ready: Vec::new(),
-            enabled: true,
-            issued: 0,
-            metadata_requests: 0,
         }
     }
 }
@@ -339,9 +219,6 @@ impl InstructionPrefetcher for PreloadPrefetcher {
         _branch: &mut BranchUnit,
         stats: &mut FtqStats,
     ) {
-        if !self.enabled {
-            return;
-        }
         let key = line.number();
         if !self.llc_table.contains(key) {
             return;
@@ -352,13 +229,11 @@ impl InstructionPrefetcher for PreloadPrefetcher {
                 for t in targets {
                     if mem.prefetch_instr(t.line(), now).is_some() {
                         stats.swpf_preloaded.incr();
-                        self.issued += 1;
                     }
                 }
             }
         } else if !self.pending.contains_key(&key) {
             stats.preload_metadata_requests.incr();
-            self.metadata_requests += 1;
             self.pending.insert(key, now + self.config.metadata_latency);
         }
     }
@@ -366,9 +241,6 @@ impl InstructionPrefetcher for PreloadPrefetcher {
     /// Completes outstanding metadata requests: installs their entries in
     /// the L1-side metadata cache and fires their prefetches.
     fn tick(&mut self, now: Cycle, mem: &mut MemoryHierarchy, stats: &mut FtqStats) {
-        if !self.enabled {
-            return;
-        }
         // Reuse the scratch buffer for the drained lines; the shared
         // table lookup borrows its targets slice — no clones.
         let mut ready = std::mem::take(&mut self.ready);
@@ -390,7 +262,6 @@ impl InstructionPrefetcher for PreloadPrefetcher {
                 for t in targets {
                     if mem.prefetch_instr(t.line(), now).is_some() {
                         stats.swpf_preloaded.incr();
-                        self.issued += 1;
                     }
                 }
             }
@@ -400,26 +271,7 @@ impl InstructionPrefetcher for PreloadPrefetcher {
 
     /// The earliest outstanding metadata arrival.
     fn next_tick(&self) -> Option<Cycle> {
-        if !self.enabled {
-            return None;
-        }
         self.pending.values().min().copied()
-    }
-
-    fn snapshot(&self) -> PrefetcherSnapshot {
-        PrefetcherSnapshot {
-            trained: 0,
-            issued: self.issued,
-            metadata_requests: self.metadata_requests,
-        }
-    }
-
-    fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    fn enabled(&self) -> bool {
-        self.enabled
     }
 }
 
@@ -465,10 +317,6 @@ pub struct ManaPrefetcher {
     /// The last instruction line the fill engine walked, i.e. the
     /// predecessor of the next observed succession.
     last_line: Option<u64>,
-    enabled: bool,
-    trained: u64,
-    issued: u64,
-    metadata_requests: u64,
 }
 
 impl Default for ManaPrefetcher {
@@ -484,10 +332,6 @@ impl ManaPrefetcher {
             records: vec![None; MANA_TABLE],
             replays: vec![None; MANA_REPLAYS],
             last_line: None,
-            enabled: true,
-            trained: 0,
-            issued: 0,
-            metadata_requests: 0,
         }
     }
 
@@ -506,9 +350,6 @@ impl InstructionPrefetcher for ManaPrefetcher {
         _mem: &mut MemoryHierarchy,
         _stats: &mut FtqStats,
     ) {
-        if !self.enabled {
-            return;
-        }
         let line = pc.line().number();
         let Some(last) = self.last_line else {
             self.last_line = Some(line);
@@ -535,7 +376,6 @@ impl InstructionPrefetcher for ManaPrefetcher {
         if !known && (rec.len as usize) < MANA_TARGETS {
             rec.targets[rec.len as usize] = line;
             rec.len += 1;
-            self.trained += 1;
         }
     }
 
@@ -549,9 +389,6 @@ impl InstructionPrefetcher for ManaPrefetcher {
         _branch: &mut BranchUnit,
         stats: &mut FtqStats,
     ) {
-        if !self.enabled {
-            return;
-        }
         let key = line.number();
         let Some(rec) = &self.records[Self::slot(key)] else {
             return;
@@ -578,14 +415,10 @@ impl InstructionPrefetcher for ManaPrefetcher {
             len: rec.len,
         });
         stats.preload_metadata_requests.incr();
-        self.metadata_requests += 1;
     }
 
     /// Fires the prefetches of every replay whose metadata has arrived.
     fn tick(&mut self, now: Cycle, mem: &mut MemoryHierarchy, stats: &mut FtqStats) {
-        if !self.enabled {
-            return;
-        }
         for slot in self.replays.iter_mut() {
             let Some(replay) = slot else {
                 continue;
@@ -599,7 +432,6 @@ impl InstructionPrefetcher for ManaPrefetcher {
                     .is_some()
                 {
                     stats.swpf_preloaded.incr();
-                    self.issued += 1;
                 }
             }
             *slot = None;
@@ -608,26 +440,7 @@ impl InstructionPrefetcher for ManaPrefetcher {
 
     /// The earliest in-flight replay's arrival.
     fn next_tick(&self) -> Option<Cycle> {
-        if !self.enabled {
-            return None;
-        }
         self.replays.iter().flatten().map(|r| r.ready).min()
-    }
-
-    fn snapshot(&self) -> PrefetcherSnapshot {
-        PrefetcherSnapshot {
-            trained: self.trained,
-            issued: self.issued,
-            metadata_requests: self.metadata_requests,
-        }
-    }
-
-    fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    fn enabled(&self) -> bool {
-        self.enabled
     }
 }
 
@@ -653,9 +466,6 @@ const SHADOW_TABLE: usize = 512;
 /// so a stale shadow copy can never fight later BTB updates.
 pub struct ShadowBtbPrefetcher {
     entries: Vec<Option<ShadowEntry>>,
-    enabled: bool,
-    trained: u64,
-    issued: u64,
 }
 
 impl Default for ShadowBtbPrefetcher {
@@ -669,9 +479,6 @@ impl ShadowBtbPrefetcher {
     pub fn new() -> Self {
         ShadowBtbPrefetcher {
             entries: vec![None; SHADOW_TABLE],
-            enabled: true,
-            trained: 0,
-            issued: 0,
         }
     }
 
@@ -683,9 +490,6 @@ impl ShadowBtbPrefetcher {
 impl InstructionPrefetcher for ShadowBtbPrefetcher {
     /// Records a taken branch the BTB ran past, keyed by its line.
     fn train_on_btb_miss(&mut self, pc: Addr, kind: BranchKind, target: Addr, _now: Cycle) {
-        if !self.enabled {
-            return;
-        }
         let tag = pc.line().number();
         self.entries[Self::slot(tag)] = Some(ShadowEntry {
             tag,
@@ -693,7 +497,6 @@ impl InstructionPrefetcher for ShadowBtbPrefetcher {
             kind,
             target,
         });
-        self.trained += 1;
     }
 
     /// Replays the recorded branch (if any) for a demand-fetched line:
@@ -706,9 +509,6 @@ impl InstructionPrefetcher for ShadowBtbPrefetcher {
         branch: &mut BranchUnit,
         stats: &mut FtqStats,
     ) {
-        if !self.enabled {
-            return;
-        }
         let key = line.number();
         let slot = &mut self.entries[Self::slot(key)];
         let Some(entry) = slot else {
@@ -720,25 +520,8 @@ impl InstructionPrefetcher for ShadowBtbPrefetcher {
         branch.train_btb_from_predecode(entry.pc, entry.kind, entry.target);
         if mem.prefetch_instr(entry.target.line(), now).is_some() {
             stats.swpf_hinted.incr();
-            self.issued += 1;
         }
         *slot = None;
-    }
-
-    fn snapshot(&self) -> PrefetcherSnapshot {
-        PrefetcherSnapshot {
-            trained: self.trained,
-            issued: self.issued,
-            metadata_requests: 0,
-        }
-    }
-
-    fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    fn enabled(&self) -> bool {
-        self.enabled
     }
 }
 
@@ -772,7 +555,7 @@ mod tests {
 
     #[test]
     fn next_line_prefetcher_warms_sequential_lines() {
-        let mut p = NextLinePrefetcher::new();
+        let mut p = NextLinePrefetcher;
         let mut mem = MemoryHierarchy::new(HierarchyConfig::tiny());
         let line = LineAddr::from_line_number(10);
         let miss = mem.fetch_instr(line, 0);
@@ -783,6 +566,6 @@ mod tests {
         p.on_demand_fetch(line, 1, merged, &mut mem);
         let hit = mem.fetch_instr(line, miss.complete_at);
         p.on_demand_fetch(line, miss.complete_at, hit, &mut mem);
-        assert_eq!(p.snapshot().issued, 1);
+        assert_eq!(mem.stats().instr_prefetches.get(), 1);
     }
 }

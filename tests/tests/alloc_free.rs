@@ -110,7 +110,7 @@ fn zoo_prefetcher_hooks_are_allocation_free_in_steady_state() {
     let zoo: Vec<(&str, Box<dyn InstructionPrefetcher>)> = vec![
         ("mana", Box::new(ManaPrefetcher::new())),
         ("shadow_btb", Box::new(ShadowBtbPrefetcher::new())),
-        ("next_line", Box::new(NextLinePrefetcher::new())),
+        ("next_line", Box::new(NextLinePrefetcher)),
         ("entangling", Box::new(EntanglingPrefetcher::new())),
     ];
     for (label, mut p) in zoo {
@@ -141,7 +141,7 @@ fn zoo_prefetcher_hooks_are_allocation_free_in_steady_state() {
         };
         // Warm-up: fills the tables, settles the hierarchy and BTB.
         drive(p.as_mut(), &mut mem, &mut branch, &mut stats, 0..2048);
-        let issued = p.snapshot().issued;
+        let issued = mem.l1i_stats().prefetch.total();
         let before = allocations();
         drive(p.as_mut(), &mut mem, &mut branch, &mut stats, 2048..8192);
         assert_eq!(
@@ -150,7 +150,7 @@ fn zoo_prefetcher_hooks_are_allocation_free_in_steady_state() {
             "{label} hooks allocated in steady state"
         );
         assert!(
-            p.snapshot().issued > issued,
+            mem.l1i_stats().prefetch.total() > issued,
             "{label} issued nothing in the measured window; the test lost its meaning"
         );
     }

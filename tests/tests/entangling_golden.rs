@@ -10,9 +10,7 @@
 
 use swip_cache::{AccessResult, MemoryHierarchy};
 use swip_core::{SimConfig, SimReport, Simulator};
-use swip_frontend::{
-    EntanglingPrefetcher, InstructionPrefetcher, NextLinePrefetcher, PrefetcherSnapshot,
-};
+use swip_frontend::{EntanglingPrefetcher, InstructionPrefetcher, NextLinePrefetcher};
 use swip_types::{Cycle, LineAddr};
 use swip_workloads::{cvp1_suite, generate};
 
@@ -34,24 +32,6 @@ impl InstructionPrefetcher for Stacked {
         self.entangling.on_demand_fetch(line, now, result, mem);
         self.next_line.on_demand_fetch(line, now, result, mem);
     }
-
-    fn snapshot(&self) -> PrefetcherSnapshot {
-        let (a, b) = (self.entangling.snapshot(), self.next_line.snapshot());
-        PrefetcherSnapshot {
-            trained: a.trained + b.trained,
-            issued: a.issued + b.issued,
-            metadata_requests: a.metadata_requests + b.metadata_requests,
-        }
-    }
-
-    fn set_enabled(&mut self, enabled: bool) {
-        self.entangling.set_enabled(enabled);
-        self.next_line.set_enabled(enabled);
-    }
-
-    fn enabled(&self) -> bool {
-        self.entangling.enabled()
-    }
 }
 
 /// Deterministic entangling run: first CVP-1 workload (`public_srv_60`),
@@ -63,7 +43,7 @@ fn entangling_report(next_line: bool) -> (String, SimReport) {
     let prefetcher: Box<dyn InstructionPrefetcher> = if next_line {
         Box::new(Stacked {
             entangling: EntanglingPrefetcher::new(),
-            next_line: NextLinePrefetcher::new(),
+            next_line: NextLinePrefetcher,
         })
     } else {
         Box::new(EntanglingPrefetcher::new())
