@@ -21,7 +21,7 @@
 //! 5. **Rewrite** ([`rewrite_trace`]) — produce a new trace with
 //!    `prefetch.i` instructions appended to the chosen blocks, shifting all
 //!    later static addresses (code bloat) and remapping branch targets; or
-//!    produce no-overhead [`swip_core::PrefetchHints`] for the idealized
+//!    produce no-overhead hints ([`Plan::to_hints`]) for the idealized
 //!    configurations.
 //!
 //! [`Asmdb`] packages the whole pipeline.

@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 
-use swip_core::{PrefetchHints, PreloadMetadata};
 use swip_types::Addr;
 
 /// One planned software-prefetch insertion.
@@ -51,7 +50,7 @@ impl Plan {
     /// Converts the plan into no-overhead hints on the *original* trace:
     /// trigger PC → target addresses. Used for the paper's
     /// "No Insertion Overhead" configurations.
-    pub fn to_hints(&self) -> PrefetchHints {
+    pub fn to_hints(&self) -> HashMap<Addr, Vec<Addr>> {
         let mut hints: HashMap<Addr, Vec<Addr>> = HashMap::new();
         for ins in &self.insertions {
             hints.entry(ins.anchor).or_default().push(ins.target_pc);
@@ -62,8 +61,8 @@ impl Plan {
     /// Converts the plan into §VI preload metadata on the *original* trace:
     /// the trigger is the cache line of each insertion anchor, so the
     /// prefetch fires when the front-end requests that line from the L1-I.
-    pub fn to_preload_metadata(&self) -> PreloadMetadata {
-        let mut meta: PreloadMetadata = HashMap::new();
+    pub fn to_preload_metadata(&self) -> HashMap<u64, Vec<Addr>> {
+        let mut meta: HashMap<u64, Vec<Addr>> = HashMap::new();
         for ins in &self.insertions {
             let targets = meta.entry(ins.anchor.line().number()).or_default();
             if !targets.contains(&ins.target_pc) {

@@ -26,8 +26,6 @@ pub trait DirectionPredictor: fmt::Debug {
 /// Which direction predictor a [`crate::BranchUnit`] instantiates.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum DirectionKind {
-    /// PC-indexed 2-bit counters.
-    Bimodal,
     /// Global-history-XOR-PC indexed 2-bit counters.
     Gshare,
     /// Multi-table hashed perceptron (ChampSim's default predictor).
@@ -43,7 +41,6 @@ pub(crate) fn make_predictor(
     log2_entries: u32,
 ) -> Box<dyn DirectionPredictor + Send> {
     match kind {
-        DirectionKind::Bimodal => Box::new(Bimodal::new(log2_entries)),
         DirectionKind::Gshare => Box::new(Gshare::new(log2_entries)),
         DirectionKind::HashedPerceptron => Box::new(HashedPerceptron::new(log2_entries)),
         DirectionKind::TageLite => Box::new(crate::TageLite::new(log2_entries)),
@@ -74,41 +71,6 @@ impl Counter2 {
         } else {
             self.0 = self.0.saturating_sub(1);
         }
-    }
-}
-
-/// PC-indexed table of 2-bit counters — the classic Smith predictor.
-///
-/// Included as the conservative baseline and as an ablation point; its lower
-/// accuracy makes the front-end redirect more often, which is useful when
-/// studying FDP sensitivity to prediction quality.
-#[derive(Clone, Debug)]
-pub struct Bimodal {
-    table: Vec<Counter2>,
-    index_bits: u32,
-}
-
-impl Bimodal {
-    /// Creates a bimodal predictor with `2^log2_entries` counters.
-    pub fn new(log2_entries: u32) -> Self {
-        Bimodal {
-            table: vec![Counter2::WEAKLY_TAKEN; 1 << log2_entries],
-            index_bits: log2_entries,
-        }
-    }
-}
-
-impl DirectionPredictor for Bimodal {
-    fn predict(&self, pc: Addr, _hist: &GlobalHistory) -> bool {
-        self.table[pc_index(pc, self.index_bits)].taken()
-    }
-
-    fn update(&mut self, pc: Addr, _hist: &GlobalHistory, taken: bool) {
-        self.table[pc_index(pc, self.index_bits)].train(taken);
-    }
-
-    fn storage_bits(&self) -> usize {
-        self.table.len() * 2
     }
 }
 
@@ -257,16 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn bimodal_learns_bias() {
-        let mut p = Bimodal::new(10);
-        let pc = Addr::new(0x1000);
-        train_loop(&mut p, pc, &[true], 8);
-        assert!(p.predict(pc, &GlobalHistory::new()));
-        train_loop(&mut p, pc, &[false], 8);
-        assert!(!p.predict(pc, &GlobalHistory::new()));
-    }
-
-    #[test]
     fn gshare_learns_alternating_pattern() {
         let mut p = Gshare::new(12);
         let pc = Addr::new(0x2000);
@@ -318,7 +270,6 @@ mod tests {
 
     #[test]
     fn storage_bits_reported() {
-        assert_eq!(Bimodal::new(10).storage_bits(), 2048);
         assert_eq!(Gshare::new(10).storage_bits(), 2048);
         assert_eq!(HashedPerceptron::new(10).storage_bits(), 8 * 1024 * 7);
     }
@@ -326,7 +277,6 @@ mod tests {
     #[test]
     fn factory_builds_each_kind() {
         for kind in [
-            DirectionKind::Bimodal,
             DirectionKind::Gshare,
             DirectionKind::HashedPerceptron,
             DirectionKind::TageLite,

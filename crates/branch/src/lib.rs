@@ -3,7 +3,7 @@
 //! Fetch-directed prefetching (FDP) relies on the branch-prediction
 //! structures to run ahead of fetch: the branch target buffer ([`Btb`])
 //! discovers where branches are, the direction predictors
-//! ([`Bimodal`], [`Gshare`], [`HashedPerceptron`]) decide conditional
+//! ([`Gshare`], [`HashedPerceptron`], [`TageLite`]) decide conditional
 //! outcomes, the return-address stack ([`Ras`]) supplies return targets, and
 //! the [`IndirectPredictor`] supplies register-indirect targets. The
 //! [`GlobalHistory`] register threads path context through the predictors and
@@ -38,7 +38,7 @@ mod tage;
 mod unit;
 
 pub use btb::{Btb, BtbEntry};
-pub use direction::{Bimodal, DirectionKind, DirectionPredictor, Gshare, HashedPerceptron};
+pub use direction::{DirectionKind, DirectionPredictor, Gshare, HashedPerceptron};
 pub use ghr::GlobalHistory;
 pub use indirect::IndirectPredictor;
 pub use ras::Ras;

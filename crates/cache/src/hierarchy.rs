@@ -123,11 +123,6 @@ impl MemoryHierarchy {
         self.l1i.stats()
     }
 
-    /// Statistics for the L1 data cache.
-    pub fn l1d_stats(&self) -> &CacheStats {
-        self.l1d.stats()
-    }
-
     /// Statistics for the L2.
     pub fn l2_stats(&self) -> &CacheStats {
         self.l2.stats()
@@ -152,12 +147,6 @@ impl MemoryHierarchy {
     /// (inspection helper; entries retire lazily as `now` advances).
     pub fn i_mshrs_in_flight(&mut self, now: Cycle) -> usize {
         self.i_mshrs.len(now)
-    }
-
-    /// Requests under this many cycles are "short" stalls; exposed so
-    /// reports can bucket head-stall severity.
-    pub fn l1_latency(&self) -> u64 {
-        self.l1i.latency()
     }
 
     /// Walks L2 → LLC → DRAM after an L1 miss, filling on the way back.

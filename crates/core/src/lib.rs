@@ -37,7 +37,7 @@ mod simulator;
 pub use backend::{Backend, BackendConfig, BackendStats, ResolvedBranch};
 pub use config::SimConfig;
 pub use report::SimReport;
-pub use simulator::{PrefetchHints, PreloadMetadata, Simulator};
+pub use simulator::Simulator;
 pub use swip_cache::ConfigError;
 // Re-exported so `SimConfig::timeline` is configurable (and the resulting
 // `SimReport::timeline` consumable) without a direct swip-frontend dep.
@@ -53,6 +53,4 @@ const _: () = {
     assert_send_sync::<Simulator>();
     assert_send_sync::<SimConfig>();
     assert_send_sync::<SimReport>();
-    assert_send_sync::<PrefetchHints>();
-    assert_send_sync::<PreloadMetadata>();
 };

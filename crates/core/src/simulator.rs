@@ -1,25 +1,13 @@
 //! The top-level simulation loop.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use swip_cache::MemoryHierarchy;
 use swip_frontend::{AsmdbHintPrefetcher, Frontend, HintTable, InstructionPrefetcher};
 use swip_trace::Trace;
-use swip_types::{Addr, Cycle};
+use swip_types::Cycle;
 
 use crate::{Backend, SimConfig, SimReport};
-
-/// No-overhead software-prefetch hints: trigger PC → target code addresses.
-///
-/// Used for the paper's "AsmDB — No Insertion Overhead" configurations,
-/// where prefetches fire from a trigger PC without occupying any front-end
-/// slot.
-pub type PrefetchHints = HashMap<Addr, Vec<Addr>>;
-
-/// Metadata for the §VI preloading extension: trigger cache-line number →
-/// target code addresses.
-pub type PreloadMetadata = HashMap<u64, Vec<Addr>>;
 
 /// Runs traces through the full front-end + backend pipeline.
 ///
@@ -219,8 +207,9 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use swip_trace::TraceBuilder;
-    use swip_types::Reg;
+    use swip_types::{Addr, Reg};
 
     fn sim() -> Simulator {
         Simulator::new(SimConfig::test_scale())
@@ -345,7 +334,7 @@ mod tests {
             b.alu();
         }
         let trace = b.finish();
-        let mut hints = PrefetchHints::new();
+        let mut hints = HashMap::new();
         hints.insert(Addr::new(0x10), vec![far]);
         let table = Arc::new(HintTable::from_pc_map(&hints));
         let with_hints = sim().run_with_hint_table(&trace, table);
@@ -432,6 +421,4 @@ mod tests {
         let b = sim.run(&trace);
         assert_eq!(a.cycles, b.cycles, "runs must not share state");
     }
-
-    use swip_types::Addr;
 }

@@ -1,6 +1,6 @@
 //! Convenience builder for constructing traces in program order.
 
-use swip_types::{Addr, BranchKind, Instruction, Reg};
+use swip_types::{Addr, BranchKind, Instruction};
 
 use crate::Trace;
 
@@ -72,11 +72,6 @@ impl TraceBuilder {
     /// Appends an ALU instruction.
     pub fn alu(&mut self) -> &mut Self {
         self.push(Instruction::alu(self.pc))
-    }
-
-    /// Appends an ALU instruction with registers.
-    pub fn alu_rr(&mut self, dst: Reg, srcs: &[Reg]) -> &mut Self {
-        self.push(Instruction::alu(self.pc).with_dst(dst).with_srcs(srcs))
     }
 
     /// Appends a load from `addr`.
