@@ -198,19 +198,29 @@ fi
 rm -rf "$first" target/report.stable.json
 echo "every TSV and report.json are byte-stable across runs, AsmDB columns included"
 
+# Runs `swip bench --figure NAME FLAGS...` in DIR, a directory of its own
+# (experiments write ./target/experiments), and fails with the run's log
+# if the run fails.
+figure_in() {
+    dir=$1
+    name=$2
+    shift 2
+    rm -rf "$dir"
+    mkdir -p "$dir"
+    if ! (cd "$dir" && cargo run -p swip-cli --release --quiet -- bench \
+        --figure "$name" "$@" >run.log 2>&1); then
+        echo "FAIL: swip bench --figure $name failed" >&2
+        cat "$dir/run.log" >&2
+        exit 1
+    fi
+}
+
 echo "==> smoke: hardware prefetchers (swip bench --figure extension_hw_prefetch)"
 # At 20k, where the loop below runs every experiment, the fdp+eip column
 # equals fdp on every workload, so that loop cannot tell whether a
 # mechanism is wired in. At the smoke scale each must move some workload.
 hw_dir="target/hw-prefetch-smoke"
-rm -rf "$hw_dir"
-mkdir -p "$hw_dir"
-if ! (cd "$hw_dir" && cargo run -p swip-cli --release --quiet -- bench \
-    --figure extension_hw_prefetch $smoke_flags >run.log 2>&1); then
-    echo "FAIL: swip bench --figure extension_hw_prefetch failed" >&2
-    cat "$hw_dir/run.log" >&2
-    exit 1
-fi
+figure_in "$hw_dir" extension_hw_prefetch $smoke_flags
 hw_tsv="$hw_dir/target/experiments/extension_hw_prefetch.tsv"
 for column in 3:fdp+nextline 4:fdp+eip; do
     if ! awk -F'\t' -v c="${column%%:*}" \
@@ -220,6 +230,20 @@ for column in 3:fdp+nextline 4:fdp+eip; do
     fi
 done
 echo "next-line and entangling each move some workload off fdp"
+
+echo "==> smoke: metadata preloading (swip bench --figure extension_preload)"
+# At 20k no workload preloads anything and asmdb_preload (column 5)
+# equals fdp (column 2) everywhere; at the smoke scale the preload
+# prefetcher must issue prefetches (column 6) and move some workload.
+preload_dir="target/preload-smoke"
+figure_in "$preload_dir" extension_preload $smoke_flags
+preload_tsv="$preload_dir/target/experiments/extension_preload.tsv"
+if ! awk -F'\t' 'NR > 1 && $1 != "geomean" && $5 != $2 && $6 > 0 { d = 1 }
+    END { exit !d }' "$preload_tsv"; then
+    echo "FAIL: no workload of $preload_tsv preloads a prefetch and moves off fdp" >&2
+    exit 1
+fi
+echo "metadata preloading issues prefetches and moves some workload off fdp"
 
 echo "==> smoke: every registered experiment (swip bench --figure NAME)"
 # The names come from the unknown-figure error, which lists the registry,
@@ -232,15 +256,7 @@ if [ -z "$names" ]; then
 fi
 figure_dir="target/figure-smoke"
 for name in $names; do
-    rm -rf "$figure_dir"
-    mkdir -p "$figure_dir"
-    # Run in a directory of its own: experiments write ./target/experiments.
-    if ! (cd "$figure_dir" && cargo run -p swip-cli --release --quiet -- bench \
-        --figure "$name" --instructions 20000 --stride 16 >run.log 2>&1); then
-        echo "FAIL: swip bench --figure $name failed" >&2
-        cat "$figure_dir/run.log" >&2
-        exit 1
-    fi
+    figure_in "$figure_dir" "$name" --instructions 20000 --stride 16
     out="$figure_dir/target/experiments"
     if [ "$name" != all ] && ! [ -f "$out/$name.tsv" ]; then
         echo "FAIL: swip bench --figure $name wrote no $name.tsv" >&2
@@ -257,7 +273,9 @@ echo "every registered experiment ran and wrote header + data rows: $(echo $name
 
 echo "==> smoke: prefetcher zoo sweep (--prefetcher across all four mechanisms)"
 # stride 16 → 3 workloads; long-format TSV = workloads × 4 mechanisms + header.
-cargo run -p swip-cli --release --quiet -- bench --instructions 20000 --stride 16 \
+# At 20k asmdb equals fdp on every workload; at the smoke scale each
+# mechanism must move some workload off its fdp row.
+cargo run -p swip-cli --release --quiet -- bench $smoke_flags \
     --prefetcher fdp --prefetcher asmdb --prefetcher mana --prefetcher shadow_btb
 zoo_tsv="target/experiments/prefetchers.tsv"
 if ! [ -s "$zoo_tsv" ]; then
@@ -271,11 +289,20 @@ if [ "$rows" -ne "$expected" ]; then
     echo "FAIL: $zoo_tsv has $rows rows, expected $expected ($workloads workloads x 4 + header)" >&2
     exit 1
 fi
+for mechanism in asmdb mana shadow_btb; do
+    if ! awk -F'\t' -v m="$mechanism" '
+        NR > 1 && $2 == "fdp" { fdp[$1] = $3 FS $4 }
+        NR > 1 && $2 == m { row[$1] = $3 FS $4 }
+        END { for (w in row) if (w in fdp && row[w] != fdp[w]) d = 1; exit !d }' "$zoo_tsv"; then
+        echo "FAIL: $mechanism has fdp's ipc and l1i_mpki on every workload of $zoo_tsv" >&2
+        exit 1
+    fi
+done
 # The sweep's schema-v2 report (with prefetcher tags) must load.
 cargo run -p swip-cli --release --quiet -- report "$report"
 # And the pre-refactor schema-v1 fixture must keep loading (back-compat gate).
 cargo run -p swip-cli --release --quiet -- report tests/fixtures/report_v1.json
-echo "prefetcher zoo TSV well-formed ($workloads workloads x 4 mechanisms); v1 report still loads"
+echo "prefetcher zoo TSV well-formed ($workloads workloads x 4 mechanisms, each off fdp); v1 report still loads"
 
 echo "==> smoke: swip serve (keep-alive probe, connection flood, graceful drain)"
 cargo build -q --release -p swip-cli -p swip-serve
