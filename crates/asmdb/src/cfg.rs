@@ -1,9 +1,7 @@
 //! Control-flow-graph reconstruction from a dynamic trace.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-
 use swip_trace::Trace;
-use swip_types::{Addr, Instruction};
+use swip_types::{Addr, Instruction, IntMap, IntSet};
 
 /// Index of a basic block within a [`Cfg`].
 pub type BlockId = usize;
@@ -71,49 +69,53 @@ impl CfgBlock {
 #[derive(Clone, Debug)]
 pub struct Cfg {
     blocks: Vec<CfgBlock>,
-    pc_to_block: HashMap<u64, BlockId>,
+    pc_to_block: IntMap<u64, BlockId>,
 }
 
 impl Cfg {
     /// Reconstructs the CFG of `trace`.
     pub fn from_trace(trace: &Trace) -> Cfg {
-        // Static view: every executed PC, with its instruction metadata
-        // (kinds are stable per PC — guaranteed by the trace model).
-        let mut static_instrs: BTreeMap<u64, Instruction> = BTreeMap::new();
-        for i in trace.iter() {
-            static_instrs.entry(i.pc.raw()).or_insert(*i);
-        }
+        // Static view: every executed PC once, with the instruction metadata
+        // of its first execution (kinds are stable per PC — guaranteed by
+        // the trace model), in PC order.
+        let mut seen: IntSet<u64> = IntSet::default();
+        let mut static_instrs: Vec<Instruction> = trace
+            .iter()
+            .filter(|i| seen.insert(i.pc.raw()))
+            .copied()
+            .collect();
+        static_instrs.sort_unstable_by_key(|i| i.pc);
 
         // Leaders: trace start, branch targets, fall-throughs after branches.
-        let mut leaders: BTreeSet<u64> = BTreeSet::new();
+        let mut leaders: IntSet<u64> = IntSet::default();
         if let Some(first) = trace.instructions().first() {
             leaders.insert(first.pc.raw());
         }
-        for (pc, i) in &static_instrs {
+        for i in &static_instrs {
             if i.is_branch() {
                 if let Some(t) = i.branch_target() {
                     leaders.insert(t.raw());
                 }
-                leaders.insert(pc + i.size as u64);
+                leaders.insert(i.pc.raw() + i.size as u64);
             }
         }
         // Any PC not contiguous with its predecessor starts a block (gaps
         // between functions).
-        let pcs: Vec<u64> = static_instrs.keys().copied().collect();
-        for w in pcs.windows(2) {
-            let size = static_instrs[&w[0]].size as u64;
-            if w[0] + size != w[1] {
-                leaders.insert(w[1]);
+        for w in static_instrs.windows(2) {
+            if w[0].pc.raw() + w[0].size as u64 != w[1].pc.raw() {
+                leaders.insert(w[1].pc.raw());
             }
         }
 
         // Blocks: maximal runs between leaders.
         let mut blocks: Vec<CfgBlock> = Vec::new();
-        let mut pc_to_block: HashMap<u64, BlockId> = HashMap::new();
+        let mut pc_to_block: IntMap<u64, BlockId> =
+            IntMap::with_capacity_and_hasher(static_instrs.len(), Default::default());
         let mut current: Vec<Addr> = Vec::new();
         let flush = |current: &mut Vec<Addr>,
                      blocks: &mut Vec<CfgBlock>,
-                     pc_to_block: &mut HashMap<u64, BlockId>| {
+                     pc_to_block: &mut IntMap<u64, BlockId>,
+                     ends_with_branch: bool| {
             if current.is_empty() {
                 return;
             }
@@ -127,30 +129,28 @@ impl Cfg {
                 exec_count: 0,
                 succs: Vec::new(),
                 preds: Vec::new(),
-                ends_with_branch: false,
+                ends_with_branch,
             });
         };
-        for (idx, (&pc, i)) in static_instrs.iter().enumerate() {
-            if idx > 0 && leaders.contains(&pc) {
-                flush(&mut current, &mut blocks, &mut pc_to_block);
+        for (idx, i) in static_instrs.iter().enumerate() {
+            if idx > 0 && leaders.contains(&i.pc.raw()) {
+                flush(&mut current, &mut blocks, &mut pc_to_block, false);
             }
-            current.push(Addr::new(pc));
+            current.push(i.pc);
             if i.is_branch() {
-                flush(&mut current, &mut blocks, &mut pc_to_block);
+                flush(&mut current, &mut blocks, &mut pc_to_block, true);
             }
         }
-        flush(&mut current, &mut blocks, &mut pc_to_block);
-        for b in &mut blocks {
-            b.ends_with_branch = static_instrs[&b.last_pc().raw()].is_branch();
-        }
+        flush(&mut current, &mut blocks, &mut pc_to_block, false);
 
         let mut cfg = Cfg {
             blocks,
             pc_to_block,
         };
 
-        // Dynamic pass: execution counts and weighted edges.
-        let mut edges: HashMap<(BlockId, BlockId), u64> = HashMap::new();
+        // Dynamic pass: execution counts and weighted edges, keyed by the
+        // packed (from, to) pair.
+        let mut edges: IntMap<u64, u64> = IntMap::default();
         let mut prev_block: Option<BlockId> = None;
         for i in trace.iter() {
             let id = cfg.pc_to_block[&i.pc.raw()];
@@ -158,12 +158,14 @@ impl Cfg {
             if is_block_start {
                 cfg.blocks[id].exec_count += 1;
                 if let Some(p) = prev_block {
-                    *edges.entry((p, id)).or_insert(0) += 1;
+                    *edges.entry(((p as u64) << 32) | id as u64).or_insert(0) += 1;
                 }
             }
             prev_block = Some(id);
         }
-        for ((from, to), count) in edges {
+        // The edge map's order is erased by the sort below.
+        for (key, count) in edges {
+            let (from, to) = ((key >> 32) as BlockId, (key & 0xffff_ffff) as BlockId);
             cfg.blocks[from].succs.push((to, count));
             cfg.blocks[to].preds.push((from, count));
         }
@@ -182,7 +184,7 @@ impl Cfg {
     /// exercised against graphs built this way. [`Cfg::from_trace`] remains
     /// the only production path and the well-formedness baseline.
     pub fn from_parts(blocks: Vec<CfgBlock>) -> Cfg {
-        let mut pc_to_block = HashMap::new();
+        let mut pc_to_block = IntMap::default();
         for (id, b) in blocks.iter().enumerate() {
             for pc in &b.pcs {
                 pc_to_block.insert(pc.raw(), id);

@@ -1,10 +1,10 @@
 //! Trace rewriting: inserting `prefetch.i` instructions with address
 //! shifting (code bloat).
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use swip_trace::Trace;
-use swip_types::{Addr, InstrKind, Instruction};
+use swip_types::{Addr, InstrKind, Instruction, IntMap, IntSet};
 
 use crate::Plan;
 
@@ -129,11 +129,13 @@ impl ShiftMap {
 /// Groups `plan`'s insertions into per-anchor target lists and the slot
 /// table keyed by rewritten-space insertion point (before-anchor slots
 /// shift the anchor itself; after-anchor slots begin at the next word).
-type AnchorSlots = (BTreeMap<u64, (bool, Vec<Addr>)>, BTreeMap<u64, (u64, u64)>);
+/// The slot table only sums counts, so it does not depend on the order the
+/// anchor map is visited in.
+type AnchorSlots = (IntMap<u64, (bool, Vec<Addr>)>, BTreeMap<u64, (u64, u64)>);
 
 fn plan_slots(plan: &Plan) -> AnchorSlots {
     // Group insertions per anchor, preserving plan order.
-    let mut per_anchor: BTreeMap<u64, (bool, Vec<Addr>)> = BTreeMap::new();
+    let mut per_anchor: IntMap<u64, (bool, Vec<Addr>)> = IntMap::default();
     for ins in &plan.insertions {
         let entry = per_anchor
             .entry(ins.anchor.raw())
@@ -173,7 +175,7 @@ pub fn rewrite_trace(trace: &Trace, plan: &Plan) -> (Trace, RewriteReport) {
 
     let mut out = Vec::with_capacity(trace.len() + trace.len() / 8);
     let mut inserted_dynamic = 0u64;
-    let mut unique_pcs: HashSet<u64> = HashSet::with_capacity(trace.len() / 4);
+    let mut unique_pcs: IntSet<u64> = IntSet::default();
 
     let emit_prefetches = |key: u64,
                            before: bool,

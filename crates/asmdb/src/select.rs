@@ -1,9 +1,9 @@
 //! Target selection and insertion-site planning (AsmDB's analysis core).
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::HashMap;
 
-use swip_types::{Addr, LineAddr, CACHE_LINE_SIZE};
+use swip_types::{Addr, IntMap, IntSet, LineAddr, CACHE_LINE_SIZE};
 
 use crate::plan::{Insertion, Plan};
 use crate::{BlockId, Cfg};
@@ -104,26 +104,12 @@ pub fn plan_insertions(
     max_sites: usize,
 ) -> Plan {
     let mut plan = Plan::default();
-    let mut dedup: HashSet<(u64, u64)> = HashSet::new();
+    let mut dedup: IntSet<(u64, u64)> = IntSet::default();
+    let mut walk = Walk::new(cfg, min_distance, window, min_reach);
 
     for target in targets {
-        let candidates = backward_walk(cfg, target, window);
-        // Aggregate per block: best reach among eligible discoveries.
-        let mut per_block: HashMap<BlockId, Candidate> = HashMap::new();
-        for (block, c) in candidates {
-            if c.distance < min_distance || c.reach < min_reach {
-                continue;
-            }
-            per_block
-                .entry(block)
-                .and_modify(|e| {
-                    if c.reach > e.reach {
-                        *e = c;
-                    }
-                })
-                .or_insert(c);
-        }
-        let mut eligible: Vec<(BlockId, Candidate)> = per_block.into_iter().collect();
+        // Each block's best eligible candidate, ranked best first.
+        let mut eligible = walk.run(cfg, target);
         eligible.sort_by(|a, b| {
             // total_cmp: reach is a product of edge probabilities and cannot
             // be NaN, but the plan is safety-checked downstream (P005), so
@@ -164,7 +150,7 @@ pub fn plan_insertions(
 /// distance away" on the short path can still qualify via a longer path.
 const MAX_VISITS_PER_BLOCK: u32 = 4;
 
-/// Bounded best-first search over reversed edges from the target block.
+/// Bounded best-first search over reversed edges from a target block.
 ///
 /// A state `(B, d, r)` means: execution entering block `B` reaches the
 /// target `d` instructions later with estimated probability `r`. A
@@ -173,82 +159,141 @@ const MAX_VISITS_PER_BLOCK: u32 = 4;
 /// propagated to `P` adds `len(P)`. Cycles are explored up to
 /// [`MAX_VISITS_PER_BLOCK`] distinct distances per block, bounded by
 /// `window`.
-fn backward_walk(cfg: &Cfg, target: &MissTarget, window: u64) -> Vec<(BlockId, Candidate)> {
-    let target_block = cfg.block(target.block);
-    let offset_in_block = target_block
-        .pcs
-        .iter()
-        .position(|&pc| pc == target.first_pc)
-        .expect("target pc is in its block") as u64;
+///
+/// States are expanded in `(distance, block)` order from a bucket queue
+/// indexed by distance. Blocks are never empty, so a state pushes only into
+/// later buckets, and a bucket is complete when the walk reaches it: sorted
+/// by block, it pops in a binary heap's order, a state pushed again with a
+/// better reach included. One `Walk` serves every target of a plan and is
+/// left empty after each.
+struct Walk {
+    min_distance: u64,
+    window: u64,
+    min_reach: f64,
+    /// Summed out-edge counts per block: the denominator of `p(P→B)`.
+    out_totals: Vec<u64>,
+    /// States expanded per block, and the blocks with a nonzero count.
+    visits: Vec<u32>,
+    visited: Vec<BlockId>,
+    /// Best reach pushed per `(block << 32) | distance`.
+    reaches: IntMap<u64, f64>,
+    /// Blocks waiting to expand, indexed by distance.
+    buckets: Vec<Vec<BlockId>>,
+    /// Best eligible candidate per block, and the blocks that have one in
+    /// discovery order.
+    best: Vec<Option<Candidate>>,
+    found: Vec<BlockId>,
+}
 
-    // Heap orders by distance; reach rides along via a parallel encoding
-    // (f64 bits are not Ord, so states carry reach separately).
-    struct State {
-        dist: u64,
-        block: BlockId,
-        reach: f64,
+impl Walk {
+    fn new(cfg: &Cfg, min_distance: u64, window: u64, min_reach: f64) -> Walk {
+        Walk {
+            min_distance,
+            window,
+            min_reach,
+            out_totals: cfg
+                .blocks()
+                .map(|(_, b)| b.succs.iter().map(|&(_, c)| c).sum())
+                .collect(),
+            visits: vec![0; cfg.len()],
+            visited: Vec::new(),
+            reaches: IntMap::default(),
+            buckets: Vec::new(),
+            best: vec![None; cfg.len()],
+            found: Vec::new(),
+        }
     }
-    let mut frontier: BinaryHeap<Reverse<(u64, BlockId, u64)>> = BinaryHeap::new();
-    let mut reaches: HashMap<(BlockId, u64), f64> = HashMap::new();
-    let mut visits: HashMap<BlockId, u32> = HashMap::new();
-    let mut candidates: Vec<(BlockId, Candidate)> = Vec::new();
 
-    let push = |frontier: &mut BinaryHeap<Reverse<(u64, BlockId, u64)>>,
-                reaches: &mut HashMap<(BlockId, u64), f64>,
-                s: State| {
-        let key = (s.block, s.dist);
-        let known = reaches.entry(key).or_insert(0.0);
-        if s.reach > *known {
-            *known = s.reach;
-            frontier.push(Reverse((s.dist, s.block, s.dist)));
+    /// Walks back from `target` and returns each block's best eligible
+    /// candidate, in discovery order.
+    fn run(&mut self, cfg: &Cfg, target: &MissTarget) -> Vec<(BlockId, Candidate)> {
+        let offset_in_block = cfg
+            .block(target.block)
+            .pcs
+            .iter()
+            .position(|&pc| pc == target.first_pc)
+            .expect("target pc is in its block") as u64;
+        if offset_in_block <= self.window {
+            self.push(target.block, offset_in_block, 1.0);
         }
-    };
-    push(
-        &mut frontier,
-        &mut reaches,
-        State {
-            dist: offset_in_block,
-            block: target.block,
-            reach: 1.0,
-        },
-    );
+        let mut d = offset_in_block as usize;
+        while d < self.buckets.len() {
+            let mut states = std::mem::take(&mut self.buckets[d]);
+            states.sort_unstable();
+            for &block in &states {
+                self.expand(cfg, block, d as u64);
+            }
+            states.clear();
+            self.buckets[d] = states;
+            d += 1;
+        }
 
-    while let Some(Reverse((d, block, _))) = frontier.pop() {
-        if d > window {
-            break;
+        for block in self.visited.drain(..) {
+            self.visits[block] = 0;
         }
-        let count = visits.entry(block).or_insert(0);
-        if *count >= MAX_VISITS_PER_BLOCK {
-            continue;
+        self.reaches.clear();
+        self.found
+            .drain(..)
+            .filter_map(|block| self.best[block].take().map(|c| (block, c)))
+            .collect()
+    }
+
+    fn push(&mut self, block: BlockId, dist: u64, reach: f64) {
+        let known = self.reaches.entry(state_key(block, dist)).or_insert(0.0);
+        if reach > *known {
+            *known = reach;
+            let d = dist as usize;
+            if d >= self.buckets.len() {
+                self.buckets.resize_with(d + 1, Vec::new);
+            }
+            self.buckets[d].push(block);
         }
-        *count += 1;
-        let r = reaches[&(block, d)];
+    }
+
+    fn expand(&mut self, cfg: &Cfg, block: BlockId, d: u64) {
+        if self.visits[block] >= MAX_VISITS_PER_BLOCK {
+            return;
+        }
+        if self.visits[block] == 0 {
+            self.visited.push(block);
+        }
+        self.visits[block] += 1;
+        let r = self.reaches[&state_key(block, d)];
         for &(pred, edge_count) in &cfg.block(block).preds {
-            let pred_block = cfg.block(pred);
-            let out_total: u64 = pred_block.succs.iter().map(|&(_, c)| c).sum();
+            let out_total = self.out_totals[pred];
             if out_total == 0 {
                 continue;
             }
             let prob = edge_count as f64 / out_total as f64;
             let reach = r * prob;
             // Candidate: a prefetch at the end of `pred`, `d` instructions
-            // ahead of the miss.
-            candidates.push((pred, Candidate { distance: d, reach }));
-            let nd = d + pred_block.len() as u64;
-            if nd <= window && reach > 1e-4 {
-                push(
-                    &mut frontier,
-                    &mut reaches,
-                    State {
-                        dist: nd,
-                        block: pred,
-                        reach,
-                    },
-                );
+            // ahead of the miss. The first of equally good ones stays.
+            if d >= self.min_distance && reach >= self.min_reach {
+                match &mut self.best[pred] {
+                    Some(best) if reach > best.reach => {
+                        *best = Candidate { distance: d, reach };
+                    }
+                    Some(_) => {}
+                    slot @ None => {
+                        *slot = Some(Candidate { distance: d, reach });
+                        self.found.push(pred);
+                    }
+                }
+            }
+            let pred_len = cfg.block(pred).len() as u64;
+            debug_assert!(pred_len > 0, "blocks are never empty");
+            let nd = d + pred_len;
+            if nd <= self.window && reach > 1e-4 {
+                self.push(pred, nd, reach);
             }
         }
     }
-    candidates
+}
+
+/// The `reaches` key of a walk state.
+fn state_key(block: BlockId, dist: u64) -> u64 {
+    debug_assert!(block >> 32 == 0 && dist >> 32 == 0);
+    ((block as u64) << 32) | dist
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@
 mod addr;
 mod fingerprint;
 mod instr;
+mod inthash;
 mod prefetcher;
 mod reg;
 mod stats;
@@ -32,6 +33,7 @@ mod stats;
 pub use addr::{Addr, LineAddr, CACHE_LINE_SIZE};
 pub use fingerprint::Fnv1a;
 pub use instr::{BranchKind, InstrKind, Instruction};
+pub use inthash::{IntHasher, IntMap, IntSet};
 pub use prefetcher::{PrefetcherId, PrefetcherParseError};
 pub use reg::Reg;
 pub use stats::{geomean, Counter, Ratio, RunningMean};

@@ -14,6 +14,12 @@ cargo clippy --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> AsmDB's 1M plans held to their pins (fixture_golden's ignored test)"
+# The 100k pins run with the suite above. At 1M a plan's backward walk
+# expands about 1.5M states, where a slip in the order its queue pops
+# them changes plans that the 100k pins do not reach.
+cargo test --release -p swip-tests --test fixture_golden -- --ignored
+
 echo "==> perfbench self-tests (its own workspace; tier-1 never builds it)"
 # perfbench calls the crates' APIs directly, so an API change that breaks
 # it must fail here rather than only when the benchmark runs.

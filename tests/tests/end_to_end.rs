@@ -179,8 +179,9 @@ fn family_composition_of_the_suite() {
 
 #[test]
 fn asmdb_plans_and_rewrites_do_not_depend_on_hash_order() {
-    // Every `Asmdb::run` builds its maps with fresh hash keys, so three
-    // runs in one process see three different iteration orders.
+    // Every profile's line-miss map gets fresh hash keys, so three runs in
+    // one process see three different iteration orders of it. AsmDB's own
+    // tables are seedless; fixture_golden.rs pins what they produce.
     let trace = generate(&cvp1_suite(50_000)[16]); // secret_srv12
     let runs: Vec<_> = (0..3)
         .map(|_| Asmdb::new(AsmdbConfig::default()).run(&trace, &SimConfig::conservative()))
