@@ -143,7 +143,21 @@ impl Asmdb {
     /// Runs the whole pipeline: profile, analyze, rewrite, and derive
     /// no-overhead hints.
     pub fn run(&self, trace: &Trace, sim_config: &SimConfig) -> AsmdbOutput {
-        let profile = self.profile(trace, sim_config);
+        self.run_from_profile(trace, self.profile(trace, sim_config), sim_config)
+    }
+
+    /// Runs the pipeline after its profiling stage: analyze, rewrite, and
+    /// derive no-overhead hints from `profile`, which
+    /// [`Asmdb::profile`] took of `trace` under `sim_config`.
+    ///
+    /// The profile does not depend on the tuning, so an experiment that
+    /// varies the tuning profiles once and calls this once per tuning.
+    pub fn run_from_profile(
+        &self,
+        trace: &Trace,
+        profile: SimReport,
+        sim_config: &SimConfig,
+    ) -> AsmdbOutput {
         let (plan, min_distance) = self.plan(trace, &profile, sim_config);
         let (rewritten, report) = rewrite_trace(trace, &plan);
         let hint_table = Arc::new(HintTable::from_pc_map(&plan.to_hints()));

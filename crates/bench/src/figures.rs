@@ -449,7 +449,8 @@ fn ablation_frontend(session: &Session) -> Result<Vec<PathBuf>, BenchError> {
 
 /// Ablation: AsmDB's fanout/reach threshold ("Increasing AsmDB's fanout
 /// threshold decreases its accuracy but results in higher miss
-/// coverage").
+/// coverage"). Each workload is profiled once and re-planned per
+/// threshold.
 fn ablation_fanout(session: &Session) -> Result<Vec<PathBuf>, BenchError> {
     const REACHES: [f64; 4] = [0.10, 0.30, 0.50, 0.70];
     let specs = session.workloads();
@@ -457,6 +458,7 @@ fn ablation_fanout(session: &Session) -> Result<Vec<PathBuf>, BenchError> {
         let trace = session.trace(spec);
         let cons = SimConfig::conservative();
         let base = Simulator::new(cons.clone()).run(&trace);
+        let profile = Asmdb::new(session.asmdb_config().clone()).profile(&trace, &cons);
         let mut row = spec.name.clone();
         let mut pairs = Vec::with_capacity(REACHES.len());
         for &reach in &REACHES {
@@ -464,7 +466,7 @@ fn ablation_fanout(session: &Session) -> Result<Vec<PathBuf>, BenchError> {
                 min_reach: reach,
                 ..session.asmdb_config().clone()
             });
-            let out = asmdb.run(&trace, &cons);
+            let out = asmdb.run_from_profile(&trace, profile.clone(), &cons);
             let s = Simulator::new(cons.clone())
                 .run(&out.rewritten)
                 .speedup_over(&base);
@@ -553,7 +555,7 @@ fn extension_preload(session: &Session) -> Result<Vec<PathBuf>, BenchError> {
 /// the session's tuning, each round evaluates the rewritten trace on the
 /// industry-standard FDP; if it does not beat the previous round, the
 /// insertion aggressiveness is cut (higher reach threshold, fewer sites)
-/// and AsmDB re-plans.
+/// and AsmDB re-plans from the workload's one profile.
 fn feedback(session: &Session) -> Result<Vec<PathBuf>, BenchError> {
     let specs = session.workloads();
     let rows = session.par_map(&specs, |_, spec| {
@@ -561,11 +563,12 @@ fn feedback(session: &Session) -> Result<Vec<PathBuf>, BenchError> {
         let fdp = SimConfig::sunny_cove_like();
         let baseline = Simulator::new(fdp.clone()).run(&trace);
         let mut config = session.asmdb_config().clone();
+        let profile = Asmdb::new(config.clone()).profile(&trace, &fdp);
         let mut best = baseline.effective_ipc;
         let mut best_round = 0usize;
         let mut row = tsv_row(&spec.name, [baseline.effective_ipc]);
         for round in 1..=3 {
-            let out = Asmdb::new(config.clone()).run(&trace, &fdp);
+            let out = Asmdb::new(config.clone()).run_from_profile(&trace, profile.clone(), &fdp);
             let r = Simulator::new(fdp.clone()).run(&out.rewritten);
             row.push_str(&format!("\t{:.4}", r.effective_ipc));
             if r.effective_ipc > best {
