@@ -31,11 +31,13 @@
 
 mod backend;
 mod config;
+mod machine;
 mod report;
 mod simulator;
 
 pub use backend::{Backend, BackendConfig, BackendStats, ResolvedBranch};
 pub use config::SimConfig;
+pub use machine::Machine;
 pub use report::SimReport;
 pub use simulator::Simulator;
 pub use swip_cache::ConfigError;
@@ -50,7 +52,11 @@ pub use swip_frontend::{HintTable, TimelineConfig, TimelineSample};
 // run.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
+    const fn assert_send<T: Send>() {}
     assert_send_sync::<Simulator>();
     assert_send_sync::<SimConfig>();
     assert_send_sync::<SimReport>();
+    // A run in progress is not `Sync` (its prefetcher slot holds a
+    // `Send`-only mechanism), but it must stay `Send`.
+    assert_send::<Machine<'static>>();
 };

@@ -14,7 +14,7 @@ use crate::BackendStats;
 /// `prefetch.i` instructions, matching the paper's accounting ("We do not
 /// include the additional instructions AsmDB inserts when calculating its
 /// IPC") so that AsmDB-rewritten traces are compared on useful work.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimReport {
     /// Workload (trace) name.
     pub workload: String,

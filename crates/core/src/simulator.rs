@@ -2,12 +2,10 @@
 
 use std::sync::Arc;
 
-use swip_cache::MemoryHierarchy;
-use swip_frontend::{AsmdbHintPrefetcher, Frontend, HintTable, InstructionPrefetcher};
+use swip_frontend::{AsmdbHintPrefetcher, HintTable, InstructionPrefetcher};
 use swip_trace::Trace;
-use swip_types::Cycle;
 
-use crate::{Backend, SimConfig, SimReport};
+use crate::{Machine, SimConfig, SimReport};
 
 /// Runs traces through the full front-end + backend pipeline.
 ///
@@ -64,143 +62,14 @@ impl Simulator {
         trace: &Trace,
         supplied: Option<Box<dyn InstructionPrefetcher>>,
     ) -> SimReport {
-        let configured = self.config.prefetcher;
-        if supplied.is_some() {
-            // The front-end has one prefetcher slot, so a supplied
-            // mechanism would silently drop a configured hardware one.
-            assert!(
-                matches!(
-                    configured,
-                    swip_types::PrefetcherId::Fdp | swip_types::PrefetcherId::Asmdb
-                ),
-                "a supplied prefetcher would replace the {} prefetcher; supply one only \
-                 with the fdp or asmdb prefetcher",
-                configured.label()
-            );
-        }
-        // The hardware mechanisms of the prefetcher zoo (DESIGN.md §16).
-        // Fdp needs no mechanism (run-ahead is intrinsic to the FTQ) and
-        // Asmdb's prefetches arrive via the rewritten trace or a supplied
-        // hint prefetcher.
-        let prefetcher: Option<Box<dyn InstructionPrefetcher>> = match configured {
-            swip_types::PrefetcherId::Fdp | swip_types::PrefetcherId::Asmdb => supplied,
-            swip_types::PrefetcherId::Mana => Some(Box::new(swip_frontend::ManaPrefetcher::new())),
-            swip_types::PrefetcherId::ShadowBtb => {
-                Some(Box::new(swip_frontend::ShadowBtbPrefetcher::new()))
-            }
-        };
-        let mut frontend = Frontend::new(self.config.frontend.clone());
-        if let Some(p) = prefetcher {
-            frontend.set_prefetcher(p);
-        }
-        if let Some(timeline) = self.config.timeline {
-            frontend.enable_timeline(timeline);
-        }
-        let mut mem = MemoryHierarchy::new(self.config.memory.clone());
-        if self.config.collect_line_profile {
-            mem.enable_line_profile();
-        }
-        let mut backend = Backend::new(self.config.backend);
-
-        let watchdog = (trace.len() as u64)
-            .saturating_mul(self.config.max_cycles_per_instr)
-            .max(100_000);
-        let mut now = 0u64;
-        let mut decoded = Vec::with_capacity(self.config.frontend.decode_width);
-        // Reused across cycles: the backend clears and refills it, so the
-        // steady-state loop performs no per-cycle allocation.
-        let mut resolved = Vec::new();
-        let mut completed = true;
-
-        while !(frontend.is_done(trace) && backend.is_empty()) {
-            // Jump over the cycles in which neither side would do more
-            // than count them (DESIGN.md §13), never past the watchdog.
-            let front = frontend
-                .next_event(now, trace, backend.free_slots())
-                .unwrap_or(Cycle::MAX);
-            if front > now {
-                let next = front
-                    .min(backend.next_event(now).unwrap_or(Cycle::MAX))
-                    .min(watchdog);
-                if next > now {
-                    frontend.skip_idle(now, next);
-                    backend.skip_idle(next - now);
-                    now = next;
-                    if now >= watchdog {
-                        completed = false;
-                        break;
-                    }
-                }
-            }
-            decoded.clear();
-            frontend.cycle(now, trace, &mut mem, backend.free_slots(), &mut decoded);
-            for d in &decoded {
-                backend.dispatch(*d, trace.instructions()[d.seq as usize], now);
-            }
-            backend.cycle(now, &mut mem, &mut resolved);
-            for r in &resolved {
-                let instr = &trace.instructions()[r.seq as usize];
-                frontend.handle_resolution(r.seq, instr, r.at);
-            }
-            now += 1;
-            if now >= watchdog {
-                completed = false;
-                break;
+        let mut m = Machine::new(&self.config, trace, supplied);
+        while m.running() {
+            m.skip_idle();
+            if m.running() {
+                m.step();
             }
         }
-
-        // I003 (feature `invariants`): every instruction-side MSHR must
-        // drain once the run completes — an entry still pending past any
-        // plausible memory latency is a leak. Skipped on watchdog abort,
-        // where in-flight fetches are legitimately cut short.
-        #[cfg(feature = "invariants")]
-        if completed {
-            let horizon = now + 1_000_000;
-            let leaked = mem.i_mshrs_in_flight(horizon);
-            assert_eq!(
-                leaked, 0,
-                "I003: {leaked} instruction MSHR entr(ies) never drained"
-            );
-        }
-
-        let instructions = backend.retired();
-        let prefetch_instructions = trace
-            .iter()
-            .take(instructions as usize)
-            .filter(|i| i.is_prefetch_i())
-            .count() as u64;
-        let useful = instructions - prefetch_instructions;
-        let cycles = now.max(1);
-        let l1i = *mem.l1i_stats();
-        let (timeline, timeline_dropped) = match frontend.take_timeline() {
-            Some(t) => {
-                let dropped = t.dropped();
-                (t.into_samples(), dropped)
-            }
-            None => (Vec::new(), 0),
-        };
-        SimReport {
-            workload: trace.name().to_string(),
-            instructions,
-            prefetch_instructions,
-            cycles,
-            ipc: instructions as f64 / cycles as f64,
-            effective_ipc: useful as f64 / cycles as f64,
-            l1i_mpki: l1i.demand_mpki(useful),
-            branch: *frontend.branch_unit().stats(),
-            // Moved out, not cloned: the frontend is dropped right after
-            // report assembly.
-            frontend: frontend.take_stats(),
-            l1i,
-            l2: *mem.l2_stats(),
-            llc: *mem.llc_stats(),
-            hierarchy: *mem.stats(),
-            backend: *backend.stats(),
-            line_misses: mem.line_profile(),
-            timeline,
-            timeline_dropped,
-            completed,
-        }
+        m.finish()
     }
 }
 

@@ -1,21 +1,16 @@
 //! `Simulator::run` jumps over the cycles in which nothing but counting
-//! happens (DESIGN.md §13). This suite checks it against a reference loop
-//! that calls the public `Frontend::cycle` / `Backend::dispatch` /
-//! `Backend::cycle` / `Frontend::handle_resolution` on every cycle: both
-//! must end on the same counters, Fig-8 means, timeline samples, line
-//! profile and completion flag.
+//! happens (DESIGN.md §13). This suite checks it against the same
+//! `Machine` stepped on every cycle and never skipped: both must end on
+//! the same `SimReport`, which holds every counter, both Fig-8 means, the
+//! timeline samples, the line profile and the completion flag.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use swip_bench::{ConfigId, Session, SessionBuilder};
-use swip_branch::BranchStats;
-use swip_cache::{CacheStats, HierarchyStats, MemoryHierarchy};
-use swip_core::{Backend, BackendStats, SimConfig, SimReport, Simulator, TimelineConfig};
+use swip_core::{Machine, SimConfig, SimReport, Simulator, TimelineConfig};
 use swip_frontend::{
-    AsmdbHintPrefetcher, EntanglingPrefetcher, Frontend, FtqStats, HintTable,
-    InstructionPrefetcher, ManaPrefetcher, NextLinePrefetcher, PreloadConfig, PreloadPrefetcher,
-    ShadowBtbPrefetcher, TimelineSample,
+    AsmdbHintPrefetcher, EntanglingPrefetcher, HintTable, InstructionPrefetcher,
+    NextLinePrefetcher, PreloadConfig, PreloadPrefetcher,
 };
 use swip_trace::Trace;
 use swip_types::PrefetcherId;
@@ -40,112 +35,19 @@ fn spec(session: &Session, name: &str) -> swip_workloads::WorkloadSpec {
         .unwrap_or_else(|| panic!("{name} is not in the suite"))
 }
 
-/// What the comparison covers: every counter block, both Fig-8 means
-/// (inside `frontend`), the timeline, the line profile and completion.
-#[derive(Debug)]
-struct Observed {
-    cycles: u64,
-    instructions: u64,
-    completed: bool,
-    frontend: FtqStats,
-    branch: BranchStats,
-    l1i: CacheStats,
-    l2: CacheStats,
-    llc: CacheStats,
-    hierarchy: HierarchyStats,
-    backend: BackendStats,
-    line_misses: HashMap<u64, u64>,
-    timeline: Vec<TimelineSample>,
-    timeline_dropped: u64,
-}
-
-/// Simulates `trace` with the same set-up as `Simulator::run`, but calls
-/// every per-cycle method on every cycle.
-fn every_cycle(config: &SimConfig, trace: &Trace, supplied: Option<Factory>) -> Observed {
-    let mut frontend = Frontend::new(config.frontend.clone());
-    match config.prefetcher {
-        PrefetcherId::Fdp | PrefetcherId::Asmdb => {}
-        PrefetcherId::Mana => frontend.set_prefetcher(Box::new(ManaPrefetcher::new())),
-        PrefetcherId::ShadowBtb => frontend.set_prefetcher(Box::new(ShadowBtbPrefetcher::new())),
-    }
-    if let Some(make) = supplied {
-        frontend.set_prefetcher(make());
-    }
-    if let Some(timeline) = config.timeline {
-        frontend.enable_timeline(timeline);
-    }
-    let mut mem = MemoryHierarchy::new(config.memory.clone());
-    if config.collect_line_profile {
-        mem.enable_line_profile();
-    }
-    let mut backend = Backend::new(config.backend);
-
-    let watchdog = (trace.len() as u64)
-        .saturating_mul(config.max_cycles_per_instr)
-        .max(100_000);
-    let mut now = 0;
-    let mut completed = true;
-    let mut decoded = Vec::new();
-    let mut resolved = Vec::new();
-    while !(frontend.is_done(trace) && backend.is_empty()) {
-        decoded.clear();
-        frontend.cycle(now, trace, &mut mem, backend.free_slots(), &mut decoded);
-        for d in &decoded {
-            backend.dispatch(*d, trace.instructions()[d.seq as usize], now);
-        }
-        backend.cycle(now, &mut mem, &mut resolved);
-        for r in &resolved {
-            frontend.handle_resolution(r.seq, &trace.instructions()[r.seq as usize], r.at);
-        }
-        now += 1;
-        if now >= watchdog {
-            completed = false;
-            break;
-        }
-    }
-    let timeline = frontend.take_timeline();
-    Observed {
-        cycles: now.max(1),
-        instructions: backend.retired(),
-        completed,
-        frontend: frontend.take_stats(),
-        branch: *frontend.branch_unit().stats(),
-        l1i: *mem.l1i_stats(),
-        l2: *mem.l2_stats(),
-        llc: *mem.llc_stats(),
-        hierarchy: *mem.stats(),
-        backend: *backend.stats(),
-        line_misses: mem.line_profile(),
-        timeline_dropped: timeline.as_ref().map_or(0, |t| t.dropped()),
-        timeline: timeline.map_or_else(Vec::new, |t| t.into_samples()),
-    }
-}
-
-/// Runs `Simulator::run` and the every-cycle reference on the same input
-/// and asserts they agree field by field; returns the engine's report.
+/// Runs `Simulator::run` and the same input on a `Machine` that steps
+/// every cycle, asserts that both end on the same report, and returns it.
 fn check(label: &str, config: &SimConfig, trace: &Trace, supplied: Option<Factory>) -> SimReport {
     let sim = Simulator::new(config.clone());
     let got = match supplied {
         None => sim.run(trace),
         Some(make) => sim.run_with_prefetcher(trace, make()),
     };
-    let want = every_cycle(config, trace, supplied);
-    assert_eq!(got.cycles, want.cycles, "{label}: cycles");
-    assert_eq!(got.instructions, want.instructions, "{label}: instructions");
-    assert_eq!(got.completed, want.completed, "{label}: completed");
-    assert_eq!(got.frontend, want.frontend, "{label}: front-end counters");
-    assert_eq!(got.branch, want.branch, "{label}: branch counters");
-    assert_eq!(got.l1i, want.l1i, "{label}: L1-I counters");
-    assert_eq!(got.l2, want.l2, "{label}: L2 counters");
-    assert_eq!(got.llc, want.llc, "{label}: LLC counters");
-    assert_eq!(got.hierarchy, want.hierarchy, "{label}: hierarchy counters");
-    assert_eq!(got.backend, want.backend, "{label}: backend counters");
-    assert_eq!(got.line_misses, want.line_misses, "{label}: line profile");
-    assert_eq!(got.timeline, want.timeline, "{label}: timeline samples");
-    assert_eq!(
-        got.timeline_dropped, want.timeline_dropped,
-        "{label}: timeline samples dropped"
-    );
+    let mut every_cycle = Machine::new(config, trace, supplied.map(|make| make()));
+    while every_cycle.running() {
+        every_cycle.step();
+    }
+    assert_eq!(got, every_cycle.finish(), "{label}");
     got
 }
 
@@ -284,4 +186,24 @@ fn a_run_cut_short_by_the_watchdog() {
     let r = check("watchdog", &config, &trace, None);
     assert!(!r.completed);
     assert_eq!(r.cycles, 100_000);
+}
+
+/// The line profile and the timeline only observe a run: with both on, a
+/// run ends on the plain run's report apart from what they recorded.
+#[test]
+fn observers_do_not_change_a_run() {
+    let session = session();
+    let trace = session.trace(&spec(&session, "secret_srv12"));
+    for plain in [SimConfig::conservative(), SimConfig::sunny_cove_like()] {
+        let mut config = plain.clone();
+        config.collect_line_profile = true;
+        config.timeline = Some(TimelineConfig::default());
+        let mut observed = Simulator::new(config).run(&trace);
+        assert!(!observed.line_misses.is_empty(), "no line misses profiled");
+        assert!(!observed.timeline.is_empty(), "no timeline samples");
+        observed.line_misses.clear();
+        observed.timeline.clear();
+        observed.timeline_dropped = 0;
+        assert_eq!(observed, Simulator::new(plain).run(&trace));
+    }
 }
