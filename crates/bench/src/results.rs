@@ -95,16 +95,6 @@ impl WorkloadResults {
         self.report(ConfigId::AsmdbFdpNoov)
     }
 
-    /// MANA-style record-and-replay on the industry-standard FDP.
-    pub fn mana(&self) -> &SimReport {
-        self.report(ConfigId::Mana)
-    }
-
-    /// Shadow-branch BTB pre-fill on the industry-standard FDP.
-    pub fn shadow_btb(&self) -> &SimReport {
-        self.report(ConfigId::ShadowBtb)
-    }
-
     /// The five Figure-1 series as speedups over the conservative baseline,
     /// in the paper's legend order.
     pub fn fig1_series(&self) -> [(&'static str, f64); 5] {

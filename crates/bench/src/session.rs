@@ -284,11 +284,6 @@ pub struct Session {
 }
 
 impl Session {
-    /// A builder with the defaults.
-    pub fn builder() -> SessionBuilder {
-        SessionBuilder::default()
-    }
-
     /// Dynamic instructions per workload.
     pub fn instructions(&self) -> u64 {
         self.instructions

@@ -9,10 +9,10 @@ const WORDS: usize = HISTORY_BITS / 64;
 /// A 256-bit global history shift register.
 ///
 /// Bit 0 of word 0 is the most recent outcome. The register is `Copy` so the
-/// front-end can cheaply checkpoint it per in-flight branch and restore it on
-/// a misprediction — the post-fetch-correction mechanism the paper's FDP
-/// model relies on ("the FTQ is flushed, the GHR is corrected, and
-/// prefetching continues").
+/// branch unit can cheaply reset the speculative history to the
+/// architectural one after a redirect — the post-fetch-correction mechanism
+/// the paper's FDP model relies on ("the FTQ is flushed, the GHR is
+/// corrected, and prefetching continues").
 ///
 /// # Examples
 ///

@@ -43,4 +43,4 @@ pub use ghr::GlobalHistory;
 pub use indirect::IndirectPredictor;
 pub use ras::Ras;
 pub use tage::TageLite;
-pub use unit::{BranchConfig, BranchStats, BranchUnit, Checkpoint, HistoryMode, Prediction};
+pub use unit::{BranchConfig, BranchStats, BranchUnit, HistoryMode, Prediction};

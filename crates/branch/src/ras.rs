@@ -7,7 +7,8 @@ use swip_types::Addr;
 /// Calls push their return address; returns pop it. When the stack
 /// overflows, the oldest entry is silently overwritten (standard hardware
 /// behavior — deep recursion wraps). The stack is cheaply cloneable so the
-/// front-end can checkpoint it alongside the GHR for misprediction repair.
+/// branch unit can reset the speculative stack to the architectural one
+/// after a redirect, alongside the GHR.
 ///
 /// # Examples
 ///

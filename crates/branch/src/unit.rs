@@ -123,17 +123,6 @@ impl BranchStats {
     }
 }
 
-/// Speculative front-end state snapshot for misprediction repair.
-///
-/// The front-end takes a checkpoint before consuming each prediction and
-/// restores it when that prediction turns out wrong, exactly like the
-/// GHR/RAS repair in the paper's post-fetch-correction description.
-#[derive(Clone, Debug)]
-pub struct Checkpoint {
-    ghr: GlobalHistory,
-    ras: Ras,
-}
-
 /// The full branch-prediction complex: BTB + direction + RAS + indirect,
 /// with separate speculative and architectural global histories.
 ///
@@ -315,20 +304,6 @@ impl BranchUnit {
         push_history(self.config.history_mode, &mut self.arch_ghr, pc, &resolved);
     }
 
-    /// Snapshots the speculative GHR and RAS.
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            ghr: self.spec_ghr,
-            ras: self.spec_ras.clone(),
-        }
-    }
-
-    /// Restores a snapshot taken with [`BranchUnit::checkpoint`].
-    pub fn restore(&mut self, ckpt: &Checkpoint) {
-        self.spec_ghr = ckpt.ghr;
-        self.spec_ras = ckpt.ras.clone();
-    }
-
     /// Resynchronizes all speculative state to the architectural state.
     /// Called by the front-end after a resolve-time redirect.
     pub fn resync_speculative(&mut self) {
@@ -430,30 +405,6 @@ mod tests {
         assert_eq!(c.target, Addr::new(0x2000));
         let r = u.predict_at(ret_pc).unwrap();
         assert_eq!(r.target, Addr::new(0x104));
-    }
-
-    #[test]
-    fn checkpoint_restore_repairs_ras() {
-        let mut u = unit();
-        let call_pc = Addr::new(0x100);
-        u.resolve(
-            call_pc,
-            BranchKind::DirectCall,
-            Addr::new(0x2000),
-            true,
-            false,
-        );
-        u.resync_speculative();
-        let ckpt = u.checkpoint();
-        let _ = u.predict_at(call_pc); // speculative push
-        u.restore(&ckpt);
-        // After restore the speculative RAS must be empty again: returns fall
-        // back to the BTB target.
-        let ret_pc = Addr::new(0x300);
-        u.resolve(ret_pc, BranchKind::Return, Addr::new(0x999), true, false);
-        // resolve pushed arch state; re-sync spec to a known-empty ras
-        u.resync_speculative();
-        assert_eq!(u.predict_at(ret_pc).unwrap().target, Addr::new(0x999));
     }
 
     #[test]

@@ -232,18 +232,6 @@ impl Cache {
         Some(evicted)
     }
 
-    /// Removes `line` if present; returns whether it was present.
-    pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        let (idx, tag) = self.index_and_tag(line);
-        for way in self.set_mut(idx) {
-            if way.valid && way.tag == tag {
-                way.valid = false;
-                return true;
-            }
-        }
-        false
-    }
-
     /// Number of currently valid lines (test/inspection helper).
     pub fn occupancy(&self) -> usize {
         self.ways.iter().filter(|w| w.valid).count()
@@ -300,15 +288,6 @@ mod tests {
         c.fill(line(2), false);
         assert_eq!(c.fill(line(0), false), None);
         assert_eq!(c.occupancy(), 2);
-    }
-
-    #[test]
-    fn invalidate_removes() {
-        let mut c = small(ReplacementKind::Lru);
-        c.fill(line(3), false);
-        assert!(c.invalidate(line(3)));
-        assert!(!c.contains(line(3)));
-        assert!(!c.invalidate(line(3)));
     }
 
     #[test]
