@@ -457,7 +457,8 @@ fn ablation_fanout(session: &Session) -> Result<Vec<PathBuf>, BenchError> {
     let per_workload = session.par_map(&specs, |_, spec| {
         let trace = session.trace(spec);
         let cons = SimConfig::conservative();
-        let base = Simulator::new(cons.clone()).run(&trace);
+        // The line profile only observes the run, so the profile is also
+        // the conservative baseline.
         let profile = Asmdb::new(session.asmdb_config().clone()).profile(&trace, &cons);
         let mut row = spec.name.clone();
         let mut pairs = Vec::with_capacity(REACHES.len());
@@ -469,7 +470,7 @@ fn ablation_fanout(session: &Session) -> Result<Vec<PathBuf>, BenchError> {
             let out = asmdb.run_from_profile(&trace, profile.clone(), &cons);
             let s = Simulator::new(cons.clone())
                 .run(&out.rewritten)
-                .speedup_over(&base);
+                .speedup_over(&profile);
             let bloat = out.report.dynamic_bloat * 100.0;
             pairs.push((s, bloat));
             row.push_str(&format!("\t{s:.4}\t{bloat:.2}"));
@@ -561,12 +562,13 @@ fn feedback(session: &Session) -> Result<Vec<PathBuf>, BenchError> {
     let rows = session.par_map(&specs, |_, spec| {
         let trace = session.trace(spec);
         let fdp = SimConfig::sunny_cove_like();
-        let baseline = Simulator::new(fdp.clone()).run(&trace);
         let mut config = session.asmdb_config().clone();
+        // The line profile only observes the run, so the profile is also
+        // the FDP baseline.
         let profile = Asmdb::new(config.clone()).profile(&trace, &fdp);
-        let mut best = baseline.effective_ipc;
+        let mut best = profile.effective_ipc;
         let mut best_round = 0usize;
-        let mut row = tsv_row(&spec.name, [baseline.effective_ipc]);
+        let mut row = tsv_row(&spec.name, [profile.effective_ipc]);
         for round in 1..=3 {
             let out = Asmdb::new(config.clone()).run_from_profile(&trace, profile.clone(), &fdp);
             let r = Simulator::new(fdp.clone()).run(&out.rewritten);
