@@ -425,7 +425,7 @@ impl Session {
     }
 
     /// The content address of `spec`'s trace: an FNV-1a hash over every
-    /// generator parameter (plus [`TRACE_CACHE_FORMAT`]), as 16 hex
+    /// generator parameter (plus the cache format version), as 16 hex
     /// digits. A workload spec fully determines its trace, so two specs
     /// with equal fingerprints generate byte-identical traces — and two
     /// sessions with *different* generator tunings sharing one cache

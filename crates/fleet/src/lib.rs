@@ -3,10 +3,10 @@
 //! A fleet run is a deterministic map-reduce over simulation jobs. The
 //! **map** side leans on a property the engine already guarantees: every
 //! (workload, configuration) cell of an
-//! [`ExperimentPlan`](swip_bench::ExperimentPlan) is independent, and
+//! [`ExperimentPlan`] is independent, and
 //! `build_plan_report` output is byte-identical no matter which process
 //! computed it. The coordinator therefore shards a plan into single-cell
-//! jobs ([`ExperimentPlan::cells`](swip_bench::ExperimentPlan::cells)),
+//! jobs ([`ExperimentPlan::cells`]),
 //! dispatches them to whichever registered worker is free over the
 //! keep-alive HTTP client, and collects partial `RunReport`s as they
 //! finish — in whatever order the fleet happens to produce them.

@@ -3,7 +3,7 @@
 use std::fmt;
 
 /// Size of a cache line in bytes. Fixed at 64 B, matching ChampSim and the
-/// paper's configuration ("one entry [can] represent eight [32-bit]
+/// paper's configuration ("one entry \[can\] represent eight \[32-bit\]
 /// instructions" — two entries per 64 B line).
 pub const CACHE_LINE_SIZE: u64 = 64;
 

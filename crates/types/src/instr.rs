@@ -122,7 +122,7 @@ pub struct Instruction {
     pub pc: Addr,
     /// The address payload of [`Instruction::kind`].
     operand: u64,
-    /// Encoded size in bytes (normally [`DEFAULT_INSTR_SIZE`]).
+    /// Encoded size in bytes (normally 4).
     pub size: u8,
     /// The variant of [`Instruction::kind`], in the layout of `class`.
     class: u8,

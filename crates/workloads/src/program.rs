@@ -59,7 +59,7 @@ impl Terminator {
     }
 }
 
-/// One basic block: a body of [`Slot`]s plus a [`Terminator`].
+/// One basic block: a body of instruction slots plus a [`Terminator`].
 #[derive(Clone, Debug)]
 pub struct Block {
     /// Address of the first body instruction.

@@ -11,6 +11,11 @@ cargo fmt --all --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+echo "==> cargo doc --no-deps --workspace (rustdoc warnings are errors)"
+# Checks every intra-doc link, so a doc that names a renamed, deleted or
+# private item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> cargo test -q"
 cargo test -q
 
