@@ -18,24 +18,24 @@ pub struct BtbEntry {
     pub target: Addr,
 }
 
+/// A way's payload; its tag lives in [`Btb::tags`].
 #[derive(Copy, Clone, Debug)]
 struct Way {
-    tag: u64,
     kind: BranchKind,
     target: Addr,
     lru: u64,
-    valid: bool,
 }
 
 impl Way {
-    const INVALID: Way = Way {
-        tag: 0,
+    const EMPTY: Way = Way {
         kind: BranchKind::CondDirect,
         target: Addr::ZERO,
         lru: 0,
-        valid: false,
     };
 }
+
+/// The tag of an invalid way. Tags are `pc >> 2`, which never reaches it.
+const INVALID: u64 = u64::MAX;
 
 /// A set-associative branch target buffer with per-set LRU replacement.
 ///
@@ -53,8 +53,11 @@ impl Way {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Btb {
-    /// All ways of all sets in one contiguous allocation, indexed by
-    /// `set * assoc + way` (flat layout; no per-set `Vec` indirection).
+    /// Every way's tag, or [`INVALID`], indexed by `set * assoc + way`.
+    /// Kept apart from the payloads so a probe, which usually misses,
+    /// reads only a set's tags.
+    tags: Vec<u64>,
+    /// Every way's kind, target and LRU stamp, indexed like `tags`.
     ways: Vec<Way>,
     set_bits: u32,
     assoc: usize,
@@ -74,7 +77,8 @@ impl Btb {
         );
         assert!(assoc > 0, "associativity must be nonzero");
         Btb {
-            ways: vec![Way::INVALID; sets * assoc],
+            tags: vec![INVALID; sets * assoc],
+            ways: vec![Way::EMPTY; sets * assoc],
             set_bits: sets.trailing_zeros(),
             assoc,
             tick: 0,
@@ -83,77 +87,79 @@ impl Btb {
 
     /// Total entry capacity.
     pub fn capacity(&self) -> usize {
-        self.ways.len()
+        self.tags.len()
     }
 
-    fn index_and_tag(&self, pc: Addr) -> (usize, u64) {
+    /// The first way of `pc`'s set and `pc`'s tag.
+    fn base_and_tag(&self, pc: Addr) -> (usize, u64) {
         let x = pc.raw() >> 2; // 4-byte aligned instructions
                                // Hash high bits into the index (as real BTBs do) so regularly
                                // strided code layouts do not collapse onto a few sets.
         let mixed = x ^ (x >> self.set_bits) ^ (x >> (2 * self.set_bits));
         let idx = (mixed & ((1u64 << self.set_bits) - 1)) as usize;
         let tag = x; // full tag; hashing the index forbids dropping bits
-        (idx, tag)
+        (idx * self.assoc, tag)
+    }
+
+    /// The slot holding `tag` in the set that starts at `base`.
+    fn find(&self, base: usize, tag: u64) -> Option<usize> {
+        self.tags[base..base + self.assoc]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|w| base + w)
     }
 
     /// Looks up `pc`, refreshing LRU state on a hit.
     pub fn lookup(&mut self, pc: Addr) -> Option<BtbEntry> {
-        let (idx, tag) = self.index_and_tag(pc);
+        let (base, tag) = self.base_and_tag(pc);
         self.tick += 1;
-        let tick = self.tick;
-        let base = idx * self.assoc;
-        for way in &mut self.ways[base..base + self.assoc] {
-            if way.valid && way.tag == tag {
-                way.lru = tick;
-                return Some(BtbEntry {
-                    pc,
-                    kind: way.kind,
-                    target: way.target,
-                });
-            }
-        }
-        None
+        let slot = self.find(base, tag)?;
+        let way = &mut self.ways[slot];
+        way.lru = self.tick;
+        Some(BtbEntry {
+            pc,
+            kind: way.kind,
+            target: way.target,
+        })
     }
 
     /// Looks up `pc` without perturbing replacement state.
     pub fn peek(&self, pc: Addr) -> Option<BtbEntry> {
-        let (idx, tag) = self.index_and_tag(pc);
-        let base = idx * self.assoc;
-        self.ways[base..base + self.assoc]
-            .iter()
-            .find(|w| w.valid && w.tag == tag)
-            .map(|w| BtbEntry {
-                pc,
-                kind: w.kind,
-                target: w.target,
-            })
+        let (base, tag) = self.base_and_tag(pc);
+        let way = &self.ways[self.find(base, tag)?];
+        Some(BtbEntry {
+            pc,
+            kind: way.kind,
+            target: way.target,
+        })
     }
 
     /// Installs or updates the entry for `pc`. Returns `true` if this
     /// *allocated* a new entry (miss fill), `false` if it updated in place.
+    ///
+    /// A fill takes the set's first invalid way, else its first
+    /// least-recently-used one.
     pub fn insert(&mut self, pc: Addr, kind: BranchKind, target: Addr) -> bool {
-        let (idx, tag) = self.index_and_tag(pc);
+        let (base, tag) = self.base_and_tag(pc);
         self.tick += 1;
-        let tick = self.tick;
-        let base = idx * self.assoc;
-        let set = &mut self.ways[base..base + self.assoc];
-        if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            way.kind = kind;
-            way.target = target;
-            way.lru = tick;
-            return false;
-        }
-        let victim = set
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.lru } else { 0 })
-            .expect("btb set is never empty");
-        *victim = Way {
-            tag,
+        let way = Way {
             kind,
             target,
-            lru: tick,
-            valid: true,
+            lru: self.tick,
         };
+        if let Some(slot) = self.find(base, tag) {
+            self.ways[slot] = way;
+            return false;
+        }
+        let victim = self.find(base, INVALID).unwrap_or_else(|| {
+            let set = &self.ways[base..base + self.assoc];
+            let lru = (0..self.assoc)
+                .min_by_key(|&w| set[w].lru)
+                .expect("btb set is never empty");
+            base + lru
+        });
+        self.tags[victim] = tag;
+        self.ways[victim] = way;
         true
     }
 }
@@ -236,5 +242,156 @@ mod tests {
     #[test]
     fn capacity() {
         assert_eq!(Btb::new(1024, 8).capacity(), 8192);
+    }
+
+    /// One way of the layout this BTB replaced.
+    #[derive(Copy, Clone)]
+    struct ModelWay {
+        valid: bool,
+        tag: u64,
+        kind: BranchKind,
+        target: Addr,
+        lru: u64,
+    }
+
+    /// The layout this BTB replaced: a `Vec` of ways per set, each with
+    /// its own valid bit, and one tick shared by every set.
+    struct SetModel {
+        sets: Vec<Vec<ModelWay>>,
+        set_bits: u32,
+        tick: u64,
+    }
+
+    impl SetModel {
+        fn new(sets: usize, assoc: usize) -> SetModel {
+            let invalid = ModelWay {
+                valid: false,
+                tag: 0,
+                kind: BranchKind::CondDirect,
+                target: Addr::ZERO,
+                lru: 0,
+            };
+            SetModel {
+                sets: vec![vec![invalid; assoc]; sets],
+                set_bits: sets.trailing_zeros(),
+                tick: 0,
+            }
+        }
+
+        fn set_and_tag(&self, pc: Addr) -> (usize, u64) {
+            let x = pc.raw() >> 2;
+            let mixed = x ^ (x >> self.set_bits) ^ (x >> (2 * self.set_bits));
+            ((mixed & ((1u64 << self.set_bits) - 1)) as usize, x)
+        }
+
+        fn entry(pc: Addr, way: &ModelWay) -> BtbEntry {
+            BtbEntry {
+                pc,
+                kind: way.kind,
+                target: way.target,
+            }
+        }
+
+        fn lookup(&mut self, pc: Addr) -> Option<BtbEntry> {
+            let (set, tag) = self.set_and_tag(pc);
+            self.tick += 1;
+            let tick = self.tick;
+            let way = self.sets[set]
+                .iter_mut()
+                .find(|w| w.valid && w.tag == tag)?;
+            way.lru = tick;
+            Some(Self::entry(pc, way))
+        }
+
+        fn peek(&self, pc: Addr) -> Option<BtbEntry> {
+            let (set, tag) = self.set_and_tag(pc);
+            self.sets[set]
+                .iter()
+                .find(|w| w.valid && w.tag == tag)
+                .map(|w| Self::entry(pc, w))
+        }
+
+        fn insert(&mut self, pc: Addr, kind: BranchKind, target: Addr) -> bool {
+            let (set, tag) = self.set_and_tag(pc);
+            self.tick += 1;
+            let fill = ModelWay {
+                valid: true,
+                tag,
+                kind,
+                target,
+                lru: self.tick,
+            };
+            let ways = &mut self.sets[set];
+            if let Some(way) = ways.iter_mut().find(|w| w.valid && w.tag == tag) {
+                *way = fill;
+                return false;
+            }
+            let victim = ways
+                .iter_mut()
+                .min_by_key(|w| if w.valid { w.lru } else { 0 })
+                .expect("a set has ways");
+            *victim = fill;
+            true
+        }
+    }
+
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Drives the BTB and the per-set model with one seeded stream of
+    /// inserts, lookups and peeks over `pcs` branch addresses, asserting
+    /// every return value agrees.
+    fn agrees_with_the_set_model(sets: usize, assoc: usize, pcs: u64, seed: u64) {
+        const KINDS: [BranchKind; 6] = [
+            BranchKind::CondDirect,
+            BranchKind::UncondDirect,
+            BranchKind::IndirectJump,
+            BranchKind::DirectCall,
+            BranchKind::IndirectCall,
+            BranchKind::Return,
+        ];
+        let mut btb = Btb::new(sets, assoc);
+        let mut model = SetModel::new(sets, assoc);
+        let mut rng = seed;
+        let (mut hits, mut fills) = (0, 0);
+        for call in 0..5000 {
+            let pc = Addr::new(0x40_0000 + (splitmix64(&mut rng) % pcs) * 4);
+            match splitmix64(&mut rng) % 3 {
+                0 => {
+                    let kind = KINDS[(splitmix64(&mut rng) % 6) as usize];
+                    let target = Addr::new(splitmix64(&mut rng) % 0x100_0000 * 4);
+                    let filled = btb.insert(pc, kind, target);
+                    assert_eq!(
+                        filled,
+                        model.insert(pc, kind, target),
+                        "insert, call {call}"
+                    );
+                    fills += u64::from(filled);
+                }
+                1 => {
+                    let entry = btb.lookup(pc);
+                    assert_eq!(entry, model.lookup(pc), "lookup, call {call}");
+                    hits += u64::from(entry.is_some());
+                }
+                _ => assert_eq!(btb.peek(pc), model.peek(pc), "peek, call {call}"),
+            }
+        }
+        // More branches than ways: the stream both hits and evicts.
+        assert!(hits > 0 && fills as usize > sets * assoc);
+    }
+
+    #[test]
+    fn one_set_agrees_with_the_layout_it_replaced() {
+        agrees_with_the_set_model(1, 4, 9, 1);
+    }
+
+    #[test]
+    fn many_sets_agree_with_the_layout_it_replaced() {
+        agrees_with_the_set_model(64, 4, 600, 2);
     }
 }

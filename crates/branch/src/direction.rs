@@ -16,8 +16,10 @@ pub trait DirectionPredictor: fmt::Debug {
     /// Predicts the direction of the conditional branch at `pc`.
     fn predict(&self, pc: Addr, hist: &GlobalHistory) -> bool;
 
-    /// Trains the predictor with the resolved outcome.
-    fn update(&mut self, pc: Addr, hist: &GlobalHistory, taken: bool);
+    /// Trains the predictor with the resolved outcome and returns the
+    /// direction it predicted before training, as
+    /// [`DirectionPredictor::predict`] would have.
+    fn update(&mut self, pc: Addr, hist: &GlobalHistory, taken: bool) -> bool;
 
     /// Storage budget in bits (for reporting against Table I).
     fn storage_bits(&self) -> usize;
@@ -104,9 +106,11 @@ impl DirectionPredictor for Gshare {
         self.table[self.index(pc, hist)].taken()
     }
 
-    fn update(&mut self, pc: Addr, hist: &GlobalHistory, taken: bool) {
+    fn update(&mut self, pc: Addr, hist: &GlobalHistory, taken: bool) -> bool {
         let idx = self.index(pc, hist);
+        let predicted = self.table[idx].taken();
         self.table[idx].train(taken);
+        predicted
     }
 
     fn storage_bits(&self) -> usize {
@@ -169,27 +173,32 @@ impl HashedPerceptron {
         (mixed & ((1u64 << self.index_bits) - 1)) as usize
     }
 
-    fn sum(&self, pc: Addr, hist: &GlobalHistory) -> i32 {
+    /// Each feature table's index for `pc` under `hist`.
+    fn indices(&self, pc: Addr, hist: &GlobalHistory) -> [usize; HP_HISTORY_LENGTHS.len()] {
+        std::array::from_fn(|t| self.index(t, pc, hist))
+    }
+
+    fn sum(&self, indices: &[usize; HP_HISTORY_LENGTHS.len()]) -> i32 {
         self.tables
             .iter()
-            .enumerate()
-            .map(|(t, tbl)| tbl[self.index(t, pc, hist)] as i32)
+            .zip(indices)
+            .map(|(tbl, &i)| tbl[i] as i32)
             .sum()
     }
 }
 
 impl DirectionPredictor for HashedPerceptron {
     fn predict(&self, pc: Addr, hist: &GlobalHistory) -> bool {
-        self.sum(pc, hist) >= 0
+        self.sum(&self.indices(pc, hist)) >= 0
     }
 
-    fn update(&mut self, pc: Addr, hist: &GlobalHistory, taken: bool) {
-        let sum = self.sum(pc, hist);
+    fn update(&mut self, pc: Addr, hist: &GlobalHistory, taken: bool) -> bool {
+        let indices = self.indices(pc, hist);
+        let sum = self.sum(&indices);
         let predicted = sum >= 0;
         if predicted != taken || sum.abs() < self.threshold {
-            for t in 0..self.tables.len() {
-                let idx = self.index(t, pc, hist);
-                let w = &mut self.tables[t][idx];
+            for (tbl, &i) in self.tables.iter_mut().zip(&indices) {
+                let w = &mut tbl[i];
                 if taken {
                     *w = (*w + 1).min(HP_WEIGHT_MAX);
                 } else {
@@ -197,6 +206,7 @@ impl DirectionPredictor for HashedPerceptron {
                 }
             }
         }
+        predicted
     }
 
     fn storage_bits(&self) -> usize {
@@ -283,6 +293,34 @@ mod tests {
         ] {
             let p = make_predictor(kind, 8);
             assert!(p.storage_bits() > 0);
+        }
+    }
+
+    #[test]
+    fn update_returns_the_prediction_it_trained_against() {
+        for kind in [
+            DirectionKind::Gshare,
+            DirectionKind::HashedPerceptron,
+            DirectionKind::TageLite,
+        ] {
+            let mut p = make_predictor(kind, 8);
+            let mut h = GlobalHistory::new();
+            let mut state = 7u64;
+            let mut wrong = 0;
+            for i in 0..4000u64 {
+                // A xorshift stream over 16 branches, biased per branch.
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let pc = Addr::new(0x1000 + (i % 16) * 4);
+                let taken = state % 4 < (i % 16) % 4;
+                let predicted = p.predict(pc, &h);
+                assert_eq!(p.update(pc, &h, taken), predicted, "{kind:?}, branch {i}");
+                wrong += u64::from(predicted != taken);
+                h.push(taken);
+            }
+            // Not vacuous: the stream trained each predictor on its misses.
+            assert!(wrong > 0, "{kind:?}");
         }
     }
 

@@ -119,7 +119,7 @@ impl DirectionPredictor for TageLite {
         self.predict_taken(pc, hist)
     }
 
-    fn update(&mut self, pc: Addr, hist: &GlobalHistory, taken: bool) {
+    fn update(&mut self, pc: Addr, hist: &GlobalHistory, taken: bool) -> bool {
         let l = self.lookup(pc, hist);
         let predicted = match l.provider {
             Some((t, i)) => self.tagged[self.slot(t, i)].ctr >= 0,
@@ -185,6 +185,7 @@ impl DirectionPredictor for TageLite {
                 }
             }
         }
+        predicted
     }
 
     fn storage_bits(&self) -> usize {

@@ -269,9 +269,8 @@ impl BranchUnit {
         }
 
         if kind == BranchKind::CondDirect {
-            let predicted = self.direction.predict(pc, &self.arch_ghr);
+            let predicted = self.direction.update(pc, &self.arch_ghr, taken);
             self.stats.direction.record(predicted == taken);
-            self.direction.update(pc, &self.arch_ghr, taken);
         }
         if kind.is_indirect() && kind != BranchKind::Return {
             if let Some(t) = self.indirect.predict(pc, &self.arch_ghr) {

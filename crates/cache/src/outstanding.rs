@@ -1,8 +1,6 @@
 //! Miss-status holding registers (outstanding-miss tracking).
 
-use std::collections::HashMap;
-
-use swip_types::{Counter, Cycle, LineAddr};
+use swip_types::{Cycle, LineAddr};
 
 /// Tracks in-flight misses for one cache level.
 ///
@@ -27,47 +25,62 @@ use swip_types::{Counter, Cycle, LineAddr};
 /// ```
 #[derive(Clone, Debug)]
 pub struct Outstanding {
-    inflight: HashMap<LineAddr, Cycle>,
+    /// Each in-flight line with its completion cycle, in no order. A
+    /// bounded file holds at most `capacity` (8 or 16 in the presets), so
+    /// a linear search beats hashing.
+    inflight: Vec<(LineAddr, Cycle)>,
+    /// No entry completes before this cycle, so none retires before it.
+    next_done: Cycle,
     capacity: usize,
-    merges: Counter,
-    rejects: Counter,
 }
 
 impl Outstanding {
     /// Creates an MSHR file with `capacity` entries (`0` = unlimited).
     pub fn new(capacity: usize) -> Self {
         Outstanding {
-            inflight: HashMap::new(),
+            inflight: Vec::with_capacity(capacity),
+            next_done: Cycle::MAX,
             capacity,
-            merges: Counter::new(),
-            rejects: Counter::new(),
         }
     }
 
     fn retire(&mut self, now: Cycle) {
-        self.inflight.retain(|_, &mut done| done > now);
+        if now < self.next_done {
+            return;
+        }
+        self.inflight.retain(|&(_, done)| done > now);
+        self.next_done = self
+            .inflight
+            .iter()
+            .map(|&(_, done)| done)
+            .min()
+            .unwrap_or(Cycle::MAX);
     }
 
-    /// If `line` is still in flight at `now`, returns its completion cycle
-    /// (recording a merge).
+    /// If `line` is still in flight at `now`, returns its completion cycle.
     pub fn lookup(&mut self, line: LineAddr, now: Cycle) -> Option<Cycle> {
         self.retire(now);
-        let done = self.inflight.get(&line).copied();
-        if done.is_some() {
-            self.merges.incr();
-        }
-        done
+        self.inflight
+            .iter()
+            .find(|&&(l, _)| l == line)
+            .map(|&(_, done)| done)
     }
 
-    /// Attempts to allocate an entry completing at `done`. Returns `false`
-    /// (and records a reject) when the file is full at `now`.
+    /// Attempts to allocate an entry completing at `done`, replacing the
+    /// completion of an entry already held for `line`. Returns `false`
+    /// when the file is full at `now`.
     pub fn allocate(&mut self, line: LineAddr, done: Cycle, now: Cycle) -> bool {
         self.retire(now);
         if self.capacity != 0 && self.inflight.len() >= self.capacity {
-            self.rejects.incr();
             return false;
         }
-        self.inflight.insert(line, done);
+        match self.inflight.iter_mut().find(|(l, _)| *l == line) {
+            Some(entry) => entry.1 = done,
+            None => self.inflight.push((line, done)),
+        }
+        // A replaced completion may leave `next_done` early, which only
+        // costs one needless retire pass.
+        self.next_done = self.next_done.min(done);
         true
     }
 
@@ -81,26 +94,12 @@ impl Outstanding {
         self.retire(now);
         self.inflight.len()
     }
-
-    /// True when no misses are in flight at `now`.
-    pub fn is_empty(&mut self, now: Cycle) -> bool {
-        self.len(now) == 0
-    }
-
-    /// Requests that merged with an in-flight line.
-    pub fn merges(&self) -> u64 {
-        self.merges.get()
-    }
-
-    /// Allocation attempts rejected because the file was full.
-    pub fn rejects(&self) -> u64 {
-        self.rejects.get()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn line(n: u64) -> LineAddr {
         LineAddr::from_line_number(n)
@@ -109,17 +108,19 @@ mod tests {
     #[test]
     fn merge_returns_existing_completion() {
         let mut m = Outstanding::new(4);
-        m.allocate(line(1), 50, 0);
+        assert!(m.allocate(line(1), 50, 0));
         assert_eq!(m.lookup(line(1), 10), Some(50));
-        assert_eq!(m.merges(), 1);
+        // A merge takes no entry of its own.
+        assert_eq!(m.len(10), 1);
     }
 
     #[test]
     fn entries_retire_at_completion() {
         let mut m = Outstanding::new(4);
         m.allocate(line(1), 50, 0);
+        assert_eq!(m.lookup(line(1), 49), Some(50));
         assert_eq!(m.lookup(line(1), 50), None); // done == now => retired
-        assert!(m.is_empty(50));
+        assert_eq!(m.len(50), 0);
     }
 
     #[test]
@@ -128,9 +129,13 @@ mod tests {
         assert!(m.allocate(line(1), 100, 0));
         assert!(m.allocate(line(2), 100, 0));
         assert!(!m.allocate(line(3), 100, 0));
-        assert_eq!(m.rejects(), 1);
+        assert!(m.is_full(0));
+        // The refused line took no entry.
+        assert_eq!(m.lookup(line(3), 0), None);
+        assert_eq!(m.len(0), 2);
         // After the first two retire there is room again.
         assert!(m.allocate(line(3), 200, 150));
+        assert_eq!(m.len(150), 1);
     }
 
     #[test]
@@ -140,5 +145,99 @@ mod tests {
             assert!(m.allocate(line(n), 1000, 0));
         }
         assert_eq!(m.len(0), 100);
+    }
+
+    /// The map this file replaced: a `HashMap` retained on every call.
+    struct MapModel {
+        inflight: HashMap<LineAddr, Cycle>,
+        capacity: usize,
+    }
+
+    impl MapModel {
+        fn retire(&mut self, now: Cycle) {
+            self.inflight.retain(|_, &mut done| done > now);
+        }
+
+        fn lookup(&mut self, line: LineAddr, now: Cycle) -> Option<Cycle> {
+            self.retire(now);
+            self.inflight.get(&line).copied()
+        }
+
+        fn allocate(&mut self, line: LineAddr, done: Cycle, now: Cycle) -> bool {
+            self.retire(now);
+            if self.capacity != 0 && self.inflight.len() >= self.capacity {
+                return false;
+            }
+            self.inflight.insert(line, done);
+            true
+        }
+
+        fn len(&mut self, now: Cycle) -> usize {
+            self.retire(now);
+            self.inflight.len()
+        }
+
+        fn is_full(&mut self, now: Cycle) -> bool {
+            self.capacity != 0 && self.len(now) >= self.capacity
+        }
+    }
+
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Drives the file and the map with one seeded call stream at
+    /// advancing cycles and asserts every return value agrees.
+    fn agrees_with_the_map(capacity: usize, seed: u64) {
+        let mut file = Outstanding::new(capacity);
+        let mut map = MapModel {
+            inflight: HashMap::new(),
+            capacity,
+        };
+        let mut rng = seed;
+        let mut now = 0;
+        let mut refused = 0;
+        let mut merged = 0;
+        for call in 0..4000 {
+            now += splitmix64(&mut rng) % 2;
+            // Few enough lines that lookups and re-allocations often hit.
+            let l = line(splitmix64(&mut rng) % 48);
+            match splitmix64(&mut rng) % 4 {
+                0 | 1 => {
+                    let done = now + 1 + splitmix64(&mut rng) % 80;
+                    let ok = file.allocate(l, done, now);
+                    assert_eq!(ok, map.allocate(l, done, now), "allocate, call {call}");
+                    refused += u64::from(!ok);
+                }
+                2 => {
+                    let done = file.lookup(l, now);
+                    assert_eq!(done, map.lookup(l, now), "lookup, call {call}");
+                    merged += u64::from(done.is_some());
+                }
+                _ => {
+                    assert_eq!(file.len(now), map.len(now), "len, call {call}");
+                    assert_eq!(file.is_full(now), map.is_full(now), "is_full, call {call}");
+                }
+            }
+        }
+        // The stream merges, and fills a bounded file, or the check saw
+        // neither.
+        assert!(merged > 0);
+        assert_eq!(refused > 0, capacity != 0);
+    }
+
+    #[test]
+    fn bounded_file_agrees_with_the_map_it_replaced() {
+        agrees_with_the_map(4, 1);
+        agrees_with_the_map(16, 2);
+    }
+
+    #[test]
+    fn unlimited_file_agrees_with_the_map_it_replaced() {
+        agrees_with_the_map(0, 3);
     }
 }

@@ -80,20 +80,28 @@ pub struct ResolvedBranch {
     pub at: Cycle,
 }
 
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-enum SlotState {
-    Waiting,
-    Executing { done: Cycle },
-    Done,
-}
-
+/// An instruction in the ROB, retired in order once `done`.
 #[derive(Clone, Debug)]
 struct RobSlot {
     seq: SeqNum,
     instr: Instruction,
-    state: SlotState,
-    dispatched_at: Cycle,
-    resolution_sent: bool,
+    done: bool,
+}
+
+/// A dispatched instruction that has not issued: the first cycle its
+/// dispatch latency lets it issue, and the registers it reads.
+#[derive(Copy, Clone, Debug)]
+struct Waiting {
+    seq: SeqNum,
+    ready_at: Cycle,
+    srcs: [Option<Reg>; 3],
+}
+
+/// An issued instruction that has not completed.
+#[derive(Copy, Clone, Debug)]
+struct Executing {
+    seq: SeqNum,
+    done: Cycle,
 }
 
 /// The execution backend: dispatch → issue → complete → retire.
@@ -113,14 +121,17 @@ pub struct Backend {
     rob: VecDeque<RobSlot>,
     reg_ready: [Cycle; Reg::COUNT],
     stats: BackendStats,
-    /// Seqs of `Waiting` slots, ascending. Dispatch appends (program
-    /// order); issue removes. Keeping this index means a cycle touches
-    /// only the slots that can change state instead of scanning the
-    /// whole (mostly `Done`) ROB twice.
-    waiting: Vec<SeqNum>,
-    /// Seqs of `Executing` slots, ascending (sorted on insert, since
-    /// out-of-order issue can start a younger seq before an older one).
-    executing: Vec<SeqNum>,
+    /// Retired `prefetch.i` instructions.
+    prefetches_retired: u64,
+    /// Instructions dispatched and not issued, ascending by seq. Dispatch
+    /// appends (program order); issue removes. Each record carries what
+    /// the issue check reads, so a cycle touches a ROB slot only to issue
+    /// it, not to find out whether it can.
+    waiting: Vec<Waiting>,
+    /// Instructions issued and not complete, ascending by seq (sorted on
+    /// insert, since out-of-order issue can start a younger seq before an
+    /// older one).
+    executing: Vec<Executing>,
 }
 
 impl Backend {
@@ -130,6 +141,7 @@ impl Backend {
             rob: VecDeque::with_capacity(config.rob_size),
             reg_ready: [0; Reg::COUNT],
             stats: BackendStats::default(),
+            prefetches_retired: 0,
             waiting: Vec::with_capacity(config.rob_size),
             executing: Vec::with_capacity(config.rob_size),
             config,
@@ -156,6 +168,11 @@ impl Backend {
         self.stats.retired.get()
     }
 
+    /// `prefetch.i` instructions among those retired so far.
+    pub(crate) fn prefetches_retired(&self) -> u64 {
+        self.prefetches_retired
+    }
+
     /// Dispatches one decoded instruction into the ROB.
     ///
     /// # Panics
@@ -167,16 +184,18 @@ impl Backend {
             "dispatch into a full rob"
         );
         debug_assert!(
-            self.waiting.last().is_none_or(|&s| s < decoded.seq),
+            self.waiting.last().is_none_or(|w| w.seq < decoded.seq),
             "dispatch out of program order"
         );
-        self.waiting.push(decoded.seq);
+        self.waiting.push(Waiting {
+            seq: decoded.seq,
+            ready_at: now + self.config.dispatch_latency,
+            srcs: instr.srcs,
+        });
         self.rob.push_back(RobSlot {
             seq: decoded.seq,
             instr,
-            state: SlotState::Waiting,
-            dispatched_at: now,
-            resolution_sent: false,
+            done: false,
         });
     }
 
@@ -205,89 +224,72 @@ impl Backend {
     ) {
         resolutions.clear();
 
-        // Issue: visit only `Waiting` slots, in program order (the same
-        // order the old full-ROB scan produced, so register-ready updates
-        // interleave identically). Unissued seqs are compacted in place.
-        let had_waiting = !self.waiting.is_empty();
+        // Issue: visit the waiting records in program order, so
+        // register-ready updates interleave as a whole-ROB scan's would,
+        // until the issue width is used up. Unissued records are
+        // compacted in place.
+        let waiting = self.waiting.len();
         let mut issued = 0;
         let mut kept = 0;
-        for k in 0..self.waiting.len() {
-            let seq = self.waiting[k];
-            if issued >= self.config.issue_width {
-                self.waiting[kept] = seq;
+        let mut k = 0;
+        while k < waiting && issued < self.config.issue_width {
+            let w = self.waiting[k];
+            k += 1;
+            let ready = now >= w.ready_at
+                && w.srcs
+                    .iter()
+                    .flatten()
+                    .all(|r| self.reg_ready[r.index()] <= now);
+            if !ready {
+                self.waiting[kept] = w;
                 kept += 1;
                 continue;
             }
-            let idx = self.slot_index(seq);
-            let ready_check = {
-                let slot = &self.rob[idx];
-                debug_assert_eq!(slot.state, SlotState::Waiting);
-                now >= slot.dispatched_at + self.config.dispatch_latency
-                    && slot
-                        .instr
-                        .srcs
-                        .iter()
-                        .flatten()
-                        .all(|r| self.reg_ready[r.index()] <= now)
-            };
-            if !ready_check {
-                self.waiting[kept] = seq;
-                kept += 1;
-                continue;
-            }
-            let done = {
-                let slot = &self.rob[idx];
-                match slot.instr.kind() {
-                    InstrKind::Load { addr } => {
-                        self.stats.loads.incr();
-                        mem.access_data(addr.line(), now).complete_at
-                    }
-                    InstrKind::Store { addr } => {
-                        // Stores commit asynchronously; warm the cache but
-                        // complete at ALU latency.
-                        mem.access_data(addr.line(), now);
-                        now + self.config.alu_latency
-                    }
-                    _ => now + self.config.alu_latency,
+            let instr = self.rob[self.slot_index(w.seq)].instr;
+            let done = match instr.kind() {
+                InstrKind::Load { addr } => {
+                    self.stats.loads.incr();
+                    mem.access_data(addr.line(), now).complete_at
                 }
+                InstrKind::Store { addr } => {
+                    // Stores commit asynchronously; warm the cache but
+                    // complete at ALU latency.
+                    mem.access_data(addr.line(), now);
+                    now + self.config.alu_latency
+                }
+                _ => now + self.config.alu_latency,
             };
-            let slot = &mut self.rob[idx];
-            slot.state = SlotState::Executing { done };
-            if let Some(dst) = slot.instr.dst {
+            if let Some(dst) = instr.dst {
                 self.reg_ready[dst.index()] = done;
             }
-            let pos = self.executing.partition_point(|&s| s < seq);
-            self.executing.insert(pos, seq);
+            let pos = self.executing.partition_point(|e| e.seq < w.seq);
+            self.executing.insert(pos, Executing { seq: w.seq, done });
             issued += 1;
         }
-        self.waiting.truncate(kept);
-        if issued == 0 && had_waiting {
+        self.waiting.copy_within(k.., kept);
+        self.waiting.truncate(kept + waiting - k);
+        if issued == 0 && waiting > 0 {
             self.stats.issue_idle_cycles.incr();
         }
 
-        // Complete: visit only `Executing` slots, still in program order,
-        // so branch resolutions are reported in the same order as the old
-        // whole-ROB sweep.
+        // Complete: visit the executing records in program order, so
+        // branch resolutions are reported in program order.
         let mut kept = 0;
         for k in 0..self.executing.len() {
-            let seq = self.executing[k];
-            let idx = self.slot_index(seq);
-            let slot = &mut self.rob[idx];
-            let SlotState::Executing { done } = slot.state else {
-                unreachable!("executing index out of sync with rob state");
-            };
-            if done > now {
-                self.executing[kept] = seq;
+            let e = self.executing[k];
+            if e.done > now {
+                self.executing[kept] = e;
                 kept += 1;
                 continue;
             }
-            slot.state = SlotState::Done;
-            if slot.instr.is_branch() && !slot.resolution_sent {
-                slot.resolution_sent = true;
+            let idx = self.slot_index(e.seq);
+            let slot = &mut self.rob[idx];
+            slot.done = true;
+            if slot.instr.is_branch() {
                 self.stats.branches_resolved.incr();
                 resolutions.push(ResolvedBranch {
-                    seq,
-                    at: done.max(now),
+                    seq: e.seq,
+                    at: e.done.max(now),
                 });
             }
         }
@@ -297,7 +299,10 @@ impl Backend {
         let mut retired = 0;
         while retired < self.config.retire_width {
             match self.rob.front() {
-                Some(slot) if slot.state == SlotState::Done => {
+                Some(slot) if slot.done => {
+                    if slot.instr.is_prefetch_i() {
+                        self.prefetches_retired += 1;
+                    }
                     self.rob.pop_front();
                     self.stats.retired.incr();
                     retired += 1;
@@ -319,26 +324,16 @@ impl Backend {
     /// passed and its sources are ready; both are fixed until something
     /// else issues, which is itself an event.
     pub fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if self.rob.front()?.state == SlotState::Done {
+        if self.rob.front()?.done {
             return Some(now);
         }
-        let completions = self.executing.iter().map(|&seq| {
-            let SlotState::Executing { done } = self.rob[self.slot_index(seq)].state else {
-                unreachable!("executing index out of sync with rob state");
-            };
-            done
-        });
-        let issues = self.waiting.iter().map(|&seq| {
-            let slot = &self.rob[self.slot_index(seq)];
-            slot.instr
-                .srcs
+        let completions = self.executing.iter().map(|e| e.done);
+        let issues = self.waiting.iter().map(|w| {
+            w.srcs
                 .iter()
                 .flatten()
                 .map(|r| self.reg_ready[r.index()])
-                .fold(
-                    slot.dispatched_at + self.config.dispatch_latency,
-                    Cycle::max,
-                )
+                .fold(w.ready_at, Cycle::max)
         });
         let mut next = Cycle::MAX;
         for at in completions.chain(issues) {

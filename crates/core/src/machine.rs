@@ -162,12 +162,7 @@ impl<'t> Machine<'t> {
         }
 
         let instructions = self.backend.retired();
-        let prefetch_instructions = self
-            .trace
-            .iter()
-            .take(instructions as usize)
-            .filter(|i| i.is_prefetch_i())
-            .count() as u64;
+        let prefetch_instructions = self.backend.prefetches_retired();
         let useful = instructions - prefetch_instructions;
         let cycles = now.max(1);
         let l1i = *self.mem.l1i_stats();
@@ -200,5 +195,77 @@ impl<'t> Machine<'t> {
             timeline_dropped,
             completed,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use swip_trace::TraceBuilder;
+    use swip_types::{Addr, Instruction, Reg};
+
+    /// `loads` serialized loads that each miss to memory, with a
+    /// `prefetch.i` before every third one.
+    fn prefetching_chain(loads: u64) -> Trace {
+        let mut b = TraceBuilder::new("pf-chain");
+        let r1 = Reg::new(1);
+        for i in 0..loads {
+            if i % 3 == 0 {
+                b.prefetch_i(Addr::new(0x80_000 + i * 64));
+            }
+            b.push(
+                Instruction::load(b.pc(), Addr::new(0x100_000 + i * 4096))
+                    .with_srcs(&[r1])
+                    .with_dst(r1),
+            );
+        }
+        b.finish()
+    }
+
+    fn run(config: &SimConfig, trace: &Trace) -> SimReport {
+        let mut machine = Machine::new(config, trace, None);
+        while machine.running() {
+            machine.skip_idle();
+            machine.step();
+        }
+        machine.finish()
+    }
+
+    /// What the report counted before retire counted it: the `prefetch.i`
+    /// records among the first `instructions` of the trace.
+    fn prefix_prefetches(trace: &Trace, instructions: u64) -> u64 {
+        trace
+            .iter()
+            .take(instructions as usize)
+            .filter(|i| i.is_prefetch_i())
+            .count() as u64
+    }
+
+    #[test]
+    fn retired_prefetches_match_the_retired_prefix() {
+        let config = SimConfig::test_scale();
+        let trace = prefetching_chain(300);
+        let done = run(&config, &trace);
+        assert!(done.completed);
+        assert_eq!(done.instructions, trace.len() as u64);
+        assert_eq!(done.prefetch_instructions, 100);
+        assert_eq!(
+            done.prefetch_instructions,
+            prefix_prefetches(&trace, done.instructions)
+        );
+
+        // Serialized misses need far more than the watchdog's 100k-cycle
+        // floor, so the run stops part-way through the trace.
+        let mut cut = SimConfig::test_scale();
+        cut.max_cycles_per_instr = 0;
+        let trace = prefetching_chain(3000);
+        let short = run(&cut, &trace);
+        assert!(!short.completed);
+        assert!(short.instructions > 0 && short.instructions < trace.len() as u64);
+        assert!(short.prefetch_instructions > 0);
+        assert_eq!(
+            short.prefetch_instructions,
+            prefix_prefetches(&trace, short.instructions)
+        );
     }
 }
