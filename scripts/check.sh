@@ -68,6 +68,13 @@ echo "==> perfbench sweep_server at 1M (results held to the stored 1M digests)"
 perfbench_pass perfbench-sweep-server.log --workload sweep_server --seconds 1
 echo "sweep_server's 1M results match the stored digests"
 
+echo "==> perfbench sweep_compute at 1M (results held to the stored 1M digests)"
+# The five backend-bound traces, where the backend's issue and complete
+# passes, the MSHR files and the direction predictor do most of the work:
+# one timed round holds their 1M results to the 20 stored digests.
+perfbench_pass perfbench-sweep-compute.log --workload sweep_compute --seconds 1
+echo "sweep_compute's 1M results match the stored digests"
+
 echo "==> smoke: swip bench --instructions 100000 --stride 16 --threads 4"
 # At 100k AsmDB inserts prefetches on all three workloads; at 50k two of
 # them still get none, so their AsmDB columns equal the baselines and the
