@@ -169,7 +169,30 @@ fn plan_slots(plan: &Plan) -> AnchorSlots {
 /// into the new address space; data addresses are untouched. The dynamic
 /// stream is identical to the input modulo the inserted `prefetch.i`
 /// instructions, which execute every time their anchor does.
+///
+/// An empty plan shifts nothing, so its rewrite is the input under the
+/// `+asmdb` name and shares the input's instructions instead of copying
+/// them (see [`Trace::renamed`]).
 pub fn rewrite_trace(trace: &Trace, plan: &Plan) -> (Trace, RewriteReport) {
+    let name = format!("{}+asmdb", trace.name());
+    if plan.insertions.is_empty() {
+        // Inserted one at a time: a `collect()` would size the set for
+        // every dynamic PC, most of them repeats.
+        let mut unique_pcs: IntSet<u64> = IntSet::default();
+        for instr in trace.iter() {
+            unique_pcs.insert(instr.pc.raw());
+        }
+        return (
+            trace.renamed(name),
+            bloat_report(trace, unique_pcs.len(), 0, 0),
+        );
+    }
+    rewrite_copying(trace, plan, name)
+}
+
+/// [`rewrite_trace`] by copying every record, shifted, into a new trace
+/// named `name`, with the plan's prefetches inserted.
+fn rewrite_copying(trace: &Trace, plan: &Plan, name: String) -> (Trace, RewriteReport) {
     let (per_anchor, slots) = plan_slots(plan);
     let shift = ShiftMap::new(&slots);
 
@@ -216,29 +239,37 @@ pub fn rewrite_trace(trace: &Trace, plan: &Plan) -> (Trace, RewriteReport) {
         }
     }
 
-    let original_static_bytes = unique_pcs.len() as u64 * WORD;
     let total_slots: u64 = slots.values().map(|&(a, b)| a + b).sum();
-    let inserted_static_bytes: u64 = WORD * total_slots;
-    let report = RewriteReport {
+    let report = bloat_report(trace, unique_pcs.len(), total_slots, inserted_dynamic);
+    (Trace::from_instructions(name, out), report)
+}
+
+/// The bloat of inserting `slots` static prefetches, executed
+/// `inserted_dynamic` times, into `trace`, which has `unique_pcs` distinct
+/// instruction addresses.
+fn bloat_report(
+    trace: &Trace,
+    unique_pcs: usize,
+    slots: u64,
+    inserted_dynamic: u64,
+) -> RewriteReport {
+    let original_static_bytes = unique_pcs as u64 * WORD;
+    RewriteReport {
         static_bloat: if original_static_bytes == 0 {
             0.0
         } else {
-            inserted_static_bytes as f64 / original_static_bytes as f64
+            (WORD * slots) as f64 / original_static_bytes as f64
         },
         dynamic_bloat: if trace.is_empty() {
             0.0
         } else {
             inserted_dynamic as f64 / trace.len() as f64
         },
-        inserted_sites: total_slots as usize,
+        inserted_sites: slots as usize,
         inserted_dynamic,
         original_static_bytes,
         original_len: trace.len() as u64,
-    };
-    (
-        Trace::from_instructions(format!("{}+asmdb", trace.name()), out),
-        report,
-    )
+    }
 }
 
 fn remap_instr(instr: &Instruction, shift: &ShiftMap) -> Instruction {
@@ -297,6 +328,40 @@ mod tests {
         assert_eq!(rewritten.instructions(), trace.instructions());
         assert_eq!(report.static_bloat, 0.0);
         assert_eq!(report.dynamic_bloat, 0.0);
+    }
+
+    #[test]
+    fn empty_plan_shares_the_original_and_reports_what_a_copy_would() {
+        let mut b = TraceBuilder::new("t");
+        for _ in 0..3 {
+            b.set_pc(Addr::new(0x40));
+            b.alu().load(Addr::new(0x9000));
+            b.cond_branch(Addr::new(0x40), true);
+        }
+        let empty = TraceBuilder::new("e").finish();
+        for trace in [b.finish(), empty] {
+            let (shared, report) = rewrite_trace(&trace, &Plan::default());
+            let name = format!("{}+asmdb", trace.name());
+            let (copied, copied_report) = rewrite_copying(&trace, &Plan::default(), name.clone());
+            assert_eq!(
+                shared.instructions().as_ptr(),
+                trace.instructions().as_ptr(),
+                "{name} was copied"
+            );
+            assert_eq!(shared.name(), name);
+            assert_eq!(shared, copied);
+            let fields = |r: &RewriteReport| {
+                (
+                    r.static_bloat.to_bits(),
+                    r.dynamic_bloat.to_bits(),
+                    r.inserted_sites,
+                    r.inserted_dynamic,
+                    r.original_static_bytes,
+                    r.original_len,
+                )
+            };
+            assert_eq!(fields(&report), fields(&copied_report), "{name}");
+        }
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! 48 --threads 2` (one workload, `public_srv_60`). The codec and cache
 //! digests below were taken from the tree before the packing, and the
 //! AsmDB pins from the tree before its analysis moved to flat
-//! integer-keyed tables.
+//! integer-keyed tables. `secret_crypto52`'s pins, whose plan is empty,
+//! come from the tree whose rewrite still copied every record of such a
+//! trace instead of sharing them.
 
 use swip_asmdb::Cfg;
 use swip_bench::{build_run_report, figures, ConfigId, ExperimentPlan, SessionBuilder};
@@ -263,7 +265,9 @@ fn assert_asmdb_pins(instructions: u64, pins: &[AsmdbPin]) {
     }
 }
 
-/// AsmDB's CFG, plan and rewrite keep their bytes at 100k instructions.
+/// AsmDB's CFG, plan and rewrite keep their bytes at 100k instructions,
+/// including `secret_crypto52`'s rewrite, which inserts nothing and so
+/// shares the original's instructions.
 #[test]
 fn asmdb_output_survives_the_flat_table_analysis() {
     assert_asmdb_pins(
@@ -289,6 +293,16 @@ fn asmdb_output_survives_the_flat_table_analysis() {
                 blocks: 3315,
                 edges: 3796,
             },
+            AsmdbPin {
+                workload: "secret_crypto52",
+                insertions: 0,
+                targeted_lines: 0,
+                uncovered_lines: 0,
+                inserted_dynamic: 0,
+                rewritten: (1_659_575, "3aaea7cdf048e4ba"),
+                blocks: 225,
+                edges: 321,
+            },
         ],
     );
 }
@@ -296,7 +310,9 @@ fn asmdb_output_survives_the_flat_table_analysis() {
 /// The same pins on `sweep_server`'s three traces at 1M instructions,
 /// where a plan's backward walk expands about 1.5M states: an ordering
 /// slip in the walk's queue that the 100k plans do not reach shows here.
-/// `scripts/check.sh` runs it in a release build.
+/// `secret_crypto52`'s empty plan pins the rewrite that shares its
+/// original at the length `sweep_compute` runs. `scripts/check.sh` runs it
+/// in a release build.
 #[test]
 #[ignore = "1M-instruction traces; run with --release -- --ignored"]
 fn asmdb_output_survives_the_flat_table_analysis_at_1m() {
@@ -332,6 +348,16 @@ fn asmdb_output_survives_the_flat_table_analysis_at_1m() {
                 rewritten: (17_787_277, "94e5b697bba5d954"),
                 blocks: 5347,
                 edges: 6961,
+            },
+            AsmdbPin {
+                workload: "secret_crypto52",
+                insertions: 0,
+                targeted_lines: 0,
+                uncovered_lines: 0,
+                inserted_dynamic: 0,
+                rewritten: (16_191_407, "d9ac1b4322a3f160"),
+                blocks: 356,
+                edges: 566,
             },
         ],
     );
