@@ -6,9 +6,10 @@ use swip_types::Addr;
 ///
 /// Calls push their return address; returns pop it. When the stack
 /// overflows, the oldest entry is silently overwritten (standard hardware
-/// behavior — deep recursion wraps). The stack is cheaply cloneable so the
-/// branch unit can reset the speculative stack to the architectural one
-/// after a redirect, alongside the GHR.
+/// behavior — deep recursion wraps). The branch unit resets the
+/// speculative stack to the architectural one after a redirect, alongside
+/// the GHR, with `clone_from`, which copies into the existing storage
+/// instead of allocating.
 ///
 /// # Examples
 ///
@@ -21,11 +22,28 @@ use swip_types::Addr;
 /// assert_eq!(ras.pop(), Some(Addr::new(0x104)));
 /// assert_eq!(ras.pop(), None);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Ras {
     entries: Vec<Addr>,
     top: usize,
     len: usize,
+}
+
+impl Clone for Ras {
+    fn clone(&self) -> Self {
+        Ras {
+            entries: self.entries.clone(),
+            top: self.top,
+            len: self.len,
+        }
+    }
+
+    // A derived `clone_from` clones and replaces, allocating every time.
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+        self.top = source.top;
+        self.len = source.len;
+    }
 }
 
 impl Ras {
@@ -145,6 +163,24 @@ mod tests {
         let mut restored = ckpt;
         assert_eq!(restored.pop(), Some(Addr::new(2)));
         assert_eq!(restored.pop(), Some(Addr::new(1)));
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_existing_stack() {
+        let mut arch = Ras::new(4);
+        arch.push(Addr::new(1));
+        arch.push(Addr::new(2));
+        let mut spec = Ras::new(4);
+        spec.push(Addr::new(7));
+        spec.push(Addr::new(8));
+        spec.push(Addr::new(9));
+        let storage = spec.entries.as_ptr();
+        spec.clone_from(&arch);
+        assert_eq!(spec.entries.as_ptr(), storage);
+        assert_eq!((spec.len(), spec.capacity()), (2, 4));
+        assert_eq!(spec.pop(), Some(Addr::new(2)));
+        assert_eq!(spec.pop(), Some(Addr::new(1)));
+        assert_eq!(spec.pop(), None);
     }
 
     #[test]

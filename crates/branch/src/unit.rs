@@ -307,7 +307,7 @@ impl BranchUnit {
     /// Called by the front-end after a resolve-time redirect.
     pub fn resync_speculative(&mut self) {
         self.spec_ghr = self.arch_ghr;
-        self.spec_ras = self.arch_ras.clone();
+        self.spec_ras.clone_from(&self.arch_ras);
     }
 
     /// Installs a BTB entry from the pre-decoder (post-fetch correction path:

@@ -29,7 +29,8 @@ pub struct FtqEntry {
     /// Instructions already promoted to decode.
     pub(crate) consumed: u32,
     /// The distinct cache lines the block spans (1 or 2 for 8 × 4-byte
-    /// instructions), with per-line fetch state.
+    /// instructions), with per-line fetch state. The front-end hands a
+    /// retired entry's list, cleared, to the next block it forms.
     pub(crate) lines: Vec<(LineAddr, LineState)>,
     /// The block ends with a taken branch the BTB did not predict; the
     /// pre-decoder must confirm it (post-fetch correction).
@@ -52,12 +53,19 @@ pub struct FtqEntry {
 }
 
 impl FtqEntry {
-    pub(crate) fn new(start_seq: SeqNum, enqueued_at: Cycle) -> Self {
+    /// An empty block at `start_seq` whose lines go in `lines`, which must
+    /// be empty.
+    pub(crate) fn new(
+        start_seq: SeqNum,
+        enqueued_at: Cycle,
+        lines: Vec<(LineAddr, LineState)>,
+    ) -> Self {
+        debug_assert!(lines.is_empty());
         FtqEntry {
             start_seq,
             count: 0,
             consumed: 0,
-            lines: Vec::with_capacity(2),
+            lines,
             pfc_pending: false,
             predecoded: false,
             enqueued_at,
@@ -126,7 +134,7 @@ mod tests {
 
     #[test]
     fn add_line_dedups() {
-        let mut e = FtqEntry::new(0, 0);
+        let mut e = FtqEntry::new(0, 0, Vec::new());
         e.add_line(line(1));
         e.add_line(line(1));
         e.add_line(line(2));
@@ -135,7 +143,7 @@ mod tests {
 
     #[test]
     fn fetch_completion_requires_all_lines() {
-        let mut e = FtqEntry::new(0, 0);
+        let mut e = FtqEntry::new(0, 0, Vec::new());
         e.add_line(line(1));
         e.add_line(line(2));
         assert!(!e.is_fetch_complete(100));
@@ -156,7 +164,7 @@ mod tests {
 
     #[test]
     fn seq_range_and_remaining() {
-        let mut e = FtqEntry::new(100, 0);
+        let mut e = FtqEntry::new(100, 0, Vec::new());
         e.count = 8;
         e.consumed = 3;
         assert_eq!(e.seq_range(), (100, 108));

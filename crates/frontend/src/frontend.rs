@@ -7,7 +7,7 @@ use std::sync::Arc;
 use swip_branch::BranchUnit;
 use swip_cache::MemoryHierarchy;
 use swip_trace::Trace;
-use swip_types::{Cycle, InstrKind, Instruction, SeqNum};
+use swip_types::{Cycle, InstrKind, Instruction, LineAddr, SeqNum};
 
 use crate::entry::{FtqEntry, LineState};
 use crate::hints::HintTable;
@@ -111,6 +111,9 @@ pub struct Frontend {
     pending_lines: usize,
     /// Branches the front-end mispredicted, pending resolution.
     mispredicted: HashSet<SeqNum>,
+    /// Retired entries' line lists, cleared, for the next blocks formed:
+    /// the busy cycle then allocates no list once the FTQ has filled.
+    spare_lines: Vec<Vec<(LineAddr, LineState)>>,
     /// The instruction-prefetch mechanism plugged in at the L1I boundary
     /// (DESIGN.md §16). Defaults to [`FdpPrefetcher`], whose hooks are
     /// no-ops — the decoupled FTQ run-ahead is the prefetcher.
@@ -146,6 +149,8 @@ impl Frontend {
             tracked_lines: HashMap::new(),
             pending_lines: 0,
             mispredicted: HashSet::new(),
+            // No more lists exist than the FTQ holds entries.
+            spare_lines: Vec::with_capacity(config.ftq_entries),
             prefetcher: Box::new(FdpPrefetcher),
             timeline: None,
             stats: FtqStats::default(),
@@ -404,7 +409,11 @@ impl Frontend {
     /// Forms one basic block starting at the cursor, consulting the branch
     /// unit per instruction and recording any redirect condition.
     fn form_block(&mut self, now: Cycle, trace: &Trace, mem: &mut MemoryHierarchy) -> FtqEntry {
-        let mut entry = FtqEntry::new(self.cursor, now);
+        let lines = self
+            .spare_lines
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(2));
+        let mut entry = FtqEntry::new(self.cursor, now, lines);
         let instrs = trace.instructions();
         while (entry.count as usize) < self.config.max_block_instrs
             && cursor_in_bounds(self.cursor, instrs.len())
@@ -709,7 +718,8 @@ impl Frontend {
         } else {
             self.stats.nonhead_fetch_cycles.push(latency);
         }
-        for (line, state) in &head.lines {
+        let mut lines = head.lines;
+        for (line, state) in &lines {
             if matches!(state, LineState::InFlight { .. }) {
                 if let Some((_, refs)) = self.tracked_lines.get_mut(&line.number()) {
                     *refs -= 1;
@@ -719,6 +729,8 @@ impl Frontend {
                 }
             }
         }
+        lines.clear();
+        self.spare_lines.push(lines);
         if let Some(new_head) = self.ftq.entries.front_mut() {
             debug_assert_eq!(new_head.predecoded, new_head.is_fetch_complete(now));
             if !new_head.predecoded {

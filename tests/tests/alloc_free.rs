@@ -1,11 +1,14 @@
-//! Proof that the cache hot path is allocation-free in steady state.
+//! Proof that the simulator's hot paths are allocation-free in steady
+//! state.
 //!
-//! A counting global allocator wraps the system allocator; the test
+//! A counting global allocator wraps the system allocator. One test
 //! warms a cache, then drives `Cache::access` and `Cache::fill`
 //! (including evictions and the prefetched-bit bookkeeping) and asserts
-//! the heap counter did not move. This is the enforcement half of the
-//! flat-layout refactor: the set slice is borrowed in place and victim
-//! selection never clones or collects.
+//! the heap counter did not move: the set slice is borrowed in place and
+//! victim selection never clones or collects. Another steps a warm
+//! `Machine` under every configuration of the sweep, so the whole busy
+//! cycle (front-end, hierarchy, backend and the prefetcher hooks) is
+//! held to the same rule.
 //!
 //! The workspace's library crates `#![forbid(unsafe_code)]`; this test
 //! binary is its own crate root, so the `GlobalAlloc` impl (inherently
@@ -14,11 +17,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use swip_bench::{ConfigId, SessionBuilder};
 use swip_branch::{BranchConfig, BranchUnit};
 use swip_cache::{Cache, CacheConfig, HierarchyConfig, MemoryHierarchy, ReplacementKind};
+use swip_core::Machine;
 use swip_frontend::{
-    EntanglingPrefetcher, FtqStats, InstructionPrefetcher, ManaPrefetcher, NextLinePrefetcher,
-    ShadowBtbPrefetcher,
+    AsmdbHintPrefetcher, EntanglingPrefetcher, FtqStats, InstructionPrefetcher, ManaPrefetcher,
+    NextLinePrefetcher, ShadowBtbPrefetcher,
 };
 use swip_types::{Addr, BranchKind, Cycle};
 
@@ -153,5 +158,67 @@ fn zoo_prefetcher_hooks_are_allocation_free_in_steady_state() {
             mem.l1i_stats().prefetch.total() > issued,
             "{label} issued nothing in the measured window; the test lost its meaning"
         );
+    }
+}
+
+/// Steps `machine` as `Simulator::run` does, at most `limit` times,
+/// returning how many steps it took.
+fn advance(machine: &mut Machine<'_>, limit: u64) -> u64 {
+    let mut steps = 0;
+    while steps < limit && machine.running() {
+        machine.skip_idle();
+        if machine.running() {
+            machine.step();
+            steps += 1;
+        }
+    }
+    steps
+}
+
+#[test]
+fn a_warm_machine_steps_without_allocating_on_every_configuration() {
+    // Construction and the first steps allocate: the tables, and the FTQ's
+    // line lists and the buffers until they reach their working sizes.
+    const WARM_STEPS: u64 = 20_000;
+    let session = SessionBuilder::new().instructions(50_000).build().unwrap();
+    let spec = session
+        .workloads()
+        .into_iter()
+        .find(|s| s.name == "secret_srv12")
+        .expect("secret_srv12 is in the suite");
+    let trace = session.trace(&spec);
+    let out = session.asmdb(&spec);
+    assert!(!out.plan.is_empty(), "the rewritten runs need insertions");
+    for id in ConfigId::ALL {
+        let config = id.sim_config();
+        // The line profile is an observer that grows a map per missed line.
+        assert!(!config.collect_line_profile);
+        let (program, supplied): (_, Option<Box<dyn InstructionPrefetcher>>) = match id {
+            ConfigId::AsmdbCons | ConfigId::AsmdbFdp => (&out.rewritten, None),
+            ConfigId::AsmdbConsNoov | ConfigId::AsmdbFdpNoov => (
+                &*trace,
+                Some(Box::new(AsmdbHintPrefetcher::new(out.hint_table.clone()))),
+            ),
+            ConfigId::Base | ConfigId::Fdp | ConfigId::Mana | ConfigId::ShadowBtb => {
+                (&*trace, None)
+            }
+        };
+        let mut machine = Machine::new(&config, program, supplied);
+        assert_eq!(advance(&mut machine, WARM_STEPS), WARM_STEPS);
+        let before = allocations();
+        let steps = advance(&mut machine, u64::MAX);
+        let allocated = allocations() - before;
+        assert!(
+            steps > 1000,
+            "{} took {steps} warm steps; the test lost its meaning",
+            id.label()
+        );
+        assert_eq!(
+            allocated,
+            0,
+            "{} allocated in {steps} warm steps",
+            id.label()
+        );
+        assert!(machine.finish().completed, "{}", id.label());
     }
 }
