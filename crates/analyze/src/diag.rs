@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use swip_report::Json;
+
 /// How serious a diagnostic is.
 ///
 /// `Error` marks an artifact the simulator cannot be trusted with;
@@ -178,56 +180,42 @@ impl Report {
     }
 
     /// Renders the report as a single stable JSON object (schema documented
-    /// in DESIGN.md §8). Hand-rolled: the workspace carries no serialization
-    /// dependency.
+    /// in DESIGN.md §8).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256 + self.diagnostics.len() * 96);
-        out.push_str("{\"subject\":");
-        json_string(&mut out, &self.subject);
-        out.push_str(",\"families\":[");
-        for (i, f) in self.families.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json_string(&mut out, f);
-        }
-        out.push_str("],\"errors\":");
-        out.push_str(&self.errors().to_string());
-        out.push_str(",\"warnings\":");
-        out.push_str(&self.warnings().to_string());
-        out.push_str(",\"infos\":");
-        out.push_str(&self.infos().to_string());
+        let text = |s: &str| Json::Str(s.to_string());
+        let mut fields = vec![
+            ("subject".into(), text(&self.subject)),
+            (
+                "families".into(),
+                Json::Arr(self.families.iter().map(|f| text(f)).collect()),
+            ),
+            ("errors".into(), Json::U64(self.errors() as u64)),
+            ("warnings".into(), Json::U64(self.warnings() as u64)),
+            ("infos".into(), Json::U64(self.infos() as u64)),
+        ];
         if let Some(cov) = &self.coverage {
-            out.push_str(",\"coverage\":{");
-            for (i, (name, value)) in cov.counter_pairs().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                json_string(&mut out, name);
-                out.push(':');
-                out.push_str(&value.to_string());
-            }
-            out.push('}');
+            let counters = cov.counter_pairs().into_iter();
+            fields.push((
+                "coverage".into(),
+                Json::Obj(counters.map(|(name, v)| (name, Json::U64(v))).collect()),
+            ));
         }
-        out.push_str(",\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"rule\":");
-            json_string(&mut out, d.rule);
-            out.push_str(",\"severity\":");
-            json_string(&mut out, d.severity.name());
-            out.push_str(",\"location\":{\"kind\":");
-            json_string(&mut out, d.location.kind());
-            out.push_str(",\"value\":");
-            json_string(&mut out, &d.location.value());
-            out.push_str("},\"message\":");
-            json_string(&mut out, &d.message);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        let diagnostics = self.diagnostics.iter().map(|d| {
+            Json::Obj(vec![
+                ("rule".into(), text(d.rule)),
+                ("severity".into(), text(d.severity.name())),
+                (
+                    "location".into(),
+                    Json::Obj(vec![
+                        ("kind".into(), text(d.location.kind())),
+                        ("value".into(), Json::Str(d.location.value())),
+                    ]),
+                ),
+                ("message".into(), text(&d.message)),
+            ])
+        });
+        fields.push(("diagnostics".into(), Json::Arr(diagnostics.collect())));
+        Json::Obj(fields).render()
     }
 }
 
@@ -262,25 +250,6 @@ impl fmt::Display for Report {
             self.families.join(",")
         )
     }
-}
-
-/// Appends `s` to `out` as a JSON string literal.
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

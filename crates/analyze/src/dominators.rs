@@ -1,12 +1,8 @@
-//! Dominator and post-dominator trees over a reconstructed CFG.
+//! Dominator trees over a reconstructed CFG.
 //!
-//! Both trees are computed with the Cooper–Harvey–Kennedy iterative
+//! The tree is computed with the Cooper–Harvey–Kennedy iterative
 //! algorithm over a reverse-postorder numbering: simple, allocation-light,
 //! and near-linear on the reducible CFGs trace reconstruction produces.
-//! Post-dominators run the same solver on the reversed edge set, rooted at
-//! a *virtual exit* that every natural exit block feeds; CFGs reconstructed
-//! from looping traces often have no natural exit at all, in which case the
-//! caller supplies the block that ended the trace.
 //!
 //! The tree is the substrate for the static prefetch-plan evaluator
 //! ([`coverage`](crate::coverage)): redundancy is an argument about
@@ -15,29 +11,26 @@
 
 use swip_asmdb::{BlockId, Cfg};
 
-/// A dominator (or post-dominator) tree over the blocks of a [`Cfg`].
+/// A dominator tree over the blocks of a [`Cfg`].
 ///
 /// Unreachable blocks (never executed on any path from the root) carry no
 /// tree node: [`DomTree::is_reachable`] is `false` and [`DomTree::idom`]
 /// returns `None` for them.
 #[derive(Clone, Debug)]
 pub struct DomTree {
-    /// Immediate dominator per internal node; the root is its own idom.
+    /// Immediate dominator per block; the root is its own idom.
     idom: Vec<Option<usize>>,
-    /// Reverse-postorder number per internal node (`usize::MAX` when
+    /// Reverse-postorder number per block (`usize::MAX` when
     /// unreachable). Dominators always have smaller numbers.
     rpo_index: Vec<usize>,
-    /// Real blocks in reverse postorder (virtual node excluded).
+    /// Blocks in reverse postorder, root first.
     order: Vec<BlockId>,
-    /// Index of the virtual exit node, when this is a post-dominator tree
-    /// rooted at one.
-    virtual_root: Option<usize>,
-    /// The root block (`None` when rooted at the virtual exit).
-    root: Option<BlockId>,
+    /// The root block.
+    root: BlockId,
 }
 
 impl DomTree {
-    /// Forward dominators rooted at `entry` (the block containing the first
+    /// Dominators rooted at `entry` (the block containing the first
     /// executed instruction).
     pub fn dominators(cfg: &Cfg, entry: BlockId) -> DomTree {
         let n = cfg.len();
@@ -56,64 +49,20 @@ impl DomTree {
             idom,
             rpo_index,
             order,
-            virtual_root: None,
-            root: Some(entry),
+            root: entry,
         }
     }
 
-    /// Post-dominators, rooted at a virtual exit fed by every block with no
-    /// successors plus every block in `extra_exits` (callers pass the block
-    /// that ended the trace, since fully-looping CFGs have no natural exit).
-    pub fn post_dominators(cfg: &Cfg, extra_exits: &[BlockId]) -> DomTree {
-        let n = cfg.len();
-        let virt = n;
-        // Reversed graph: an original edge a→b becomes b→a, and the virtual
-        // exit gains an edge to every exit block.
-        let mut succs = vec![Vec::new(); n + 1];
-        let mut preds = vec![Vec::new(); n + 1];
-        for (id, block) in cfg.blocks() {
-            for &(s, _) in &block.succs {
-                if s < n {
-                    succs[s].push(id);
-                    preds[id].push(s);
-                }
-            }
-        }
-        let mut exits: Vec<BlockId> = (0..n).filter(|&b| succs_empty(cfg, b)).collect();
-        for &e in extra_exits {
-            if e < n && !exits.contains(&e) {
-                exits.push(e);
-            }
-        }
-        for e in exits {
-            succs[virt].push(e);
-            preds[e].push(virt);
-        }
-        let (idom, rpo_index, order) = solve(n + 1, virt, &succs, &preds);
-        DomTree {
-            idom,
-            rpo_index,
-            order: order.into_iter().filter(|&b| b != virt).collect(),
-            virtual_root: Some(virt),
-            root: None,
-        }
-    }
-
-    /// The root block, when this tree is rooted at a real block.
-    pub fn root(&self) -> Option<BlockId> {
+    /// The root block.
+    pub fn root(&self) -> BlockId {
         self.root
     }
 
-    /// Immediate dominator of `b`: `None` for the root itself, for
-    /// unreachable blocks, and for blocks whose only dominator is the
-    /// virtual exit of a post-dominator tree.
+    /// Immediate dominator of `b`: `None` for the root itself and for
+    /// unreachable blocks.
     pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        let parent = *self.idom.get(b)?;
-        let p = parent?;
-        if p == b || Some(p) == self.virtual_root {
-            return None;
-        }
-        Some(p)
+        let p = (*self.idom.get(b)?)?;
+        (p != b).then_some(p)
     }
 
     /// Whether `b` is reachable from the root (participates in the tree).
@@ -130,7 +79,7 @@ impl DomTree {
         }
     }
 
-    /// Real blocks in reverse postorder (root first for forward trees).
+    /// Blocks in reverse postorder, root first.
     pub fn rpo(&self) -> &[BlockId] {
         &self.order
     }
@@ -163,20 +112,12 @@ impl DomTree {
         self.rpo_number(b)?;
         let mut depth = 0;
         let mut cur = b;
-        while let Some(p) = self.idom[cur] {
-            if p == cur || Some(p) == self.virtual_root {
-                break;
-            }
+        while let Some(p) = self.idom(cur) {
             cur = p;
             depth += 1;
         }
         Some(depth)
     }
-}
-
-fn succs_empty(cfg: &Cfg, b: BlockId) -> bool {
-    let n = cfg.len();
-    !cfg.block(b).succs.iter().any(|&(s, _)| s < n)
 }
 
 /// Cooper–Harvey–Kennedy over an explicit adjacency list. Returns
@@ -311,21 +252,6 @@ mod tests {
     }
 
     #[test]
-    fn diamond_post_dominators() {
-        let pdom = DomTree::post_dominators(&diamond(), &[]);
-        // 3 is the sole exit: it post-dominates everything.
-        assert!(pdom.dominates(3, 0));
-        assert!(pdom.dominates(3, 1));
-        assert_eq!(pdom.idom(0), Some(3));
-        assert_eq!(
-            pdom.idom(3),
-            None,
-            "exit's only post-dominator is the virtual exit"
-        );
-        assert!(!pdom.dominates(1, 0));
-    }
-
-    #[test]
     fn unreachable_blocks_are_outside_the_tree() {
         // 0 → 1; 2 floats free.
         let cfg = cfg_of(&[1, 1, 1], &[(0, 1)]);
@@ -335,18 +261,6 @@ mod tests {
         assert_eq!(dom.idom(2), None);
         assert!(!dom.dominates(0, 2));
         assert_eq!(dom.rpo(), &[0, 1]);
-    }
-
-    #[test]
-    fn looping_cfg_needs_the_extra_exit() {
-        // 0 → 1 → 2 → 0: no natural exit.
-        let cfg = cfg_of(&[1, 1, 1], &[(0, 1), (1, 2), (2, 0)]);
-        let pdom = DomTree::post_dominators(&cfg, &[]);
-        assert!(!pdom.is_reachable(0), "no exits: nothing is post-dominated");
-        let pdom = DomTree::post_dominators(&cfg, &[2]);
-        assert!(pdom.dominates(2, 0));
-        assert!(pdom.dominates(1, 0));
-        assert_eq!(pdom.idom(0), Some(1));
     }
 
     #[test]

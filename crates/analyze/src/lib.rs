@@ -16,7 +16,7 @@
 //! * `coverage` (`D001`–`D004`) — static prediction of each insertion's
 //!   value (dead / redundant / late / clobbering), built on dominator
 //!   trees ([`DomTree`]) and natural loops ([`LoopForest`]); opt-in via
-//!   [`AnalyzeOptions::coverage`].
+//!   the `coverage` argument of either entry point.
 //!
 //! [`analyze_trace`] chains all post-decode families: it reconstructs the
 //! CFG, builds a synthetic insertion plan (profiling the trace's line
@@ -79,31 +79,18 @@ pub fn decode_diagnostic(err: &DecodeError) -> Diagnostic {
     )
 }
 
-/// Options for [`analyze_trace_with`] / [`analyze_read_with`].
-#[derive(Copy, Clone, Debug, Default)]
-pub struct AnalyzeOptions {
-    /// Run the `coverage` family (rules `D001`–`D004`) on the synthetic
-    /// plan and attach a [`PredictedCoverage`] summary to the report.
-    pub coverage: bool,
-    /// Cache/latency model for the coverage family.
-    pub coverage_config: CoverageConfig,
-}
-
-/// Runs every post-decode analysis family on an in-memory trace.
+/// Runs every post-decode analysis family on an in-memory trace, plus the
+/// `coverage` family (rules `D001`–`D004`, with a [`PredictedCoverage`]
+/// summary on the report) when `coverage` is set.
 ///
 /// The `cfg`, `plan`, and `rewrite` families are skipped when the `trace`
 /// family found errors (a discontinuous trace yields a meaningless CFG) or
 /// the trace is empty.
-pub fn analyze_trace(trace: &Trace) -> Report {
-    analyze_trace_with(trace, &AnalyzeOptions::default())
-}
-
-/// [`analyze_trace`] with explicit [`AnalyzeOptions`].
-pub fn analyze_trace_with(trace: &Trace, options: &AnalyzeOptions) -> Report {
+pub fn analyze_trace(trace: &Trace, coverage: bool) -> Report {
     let mut families = vec!["trace"];
     let mut diags = lint_trace(trace);
     let clean = !diags.iter().any(|d| d.severity == Severity::Error);
-    let mut coverage = None;
+    let mut summary = None;
 
     if clean && !trace.is_empty() {
         let cfg = Cfg::from_trace(trace);
@@ -134,31 +121,26 @@ pub fn analyze_trace_with(trace: &Trace, options: &AnalyzeOptions) -> Report {
                 .filter(|d| d.severity == Severity::Error),
         );
 
-        if options.coverage {
+        if coverage {
             families.push("coverage");
-            let eval = evaluate_plan(&cfg, entry, &plan, &options.coverage_config);
+            let eval = evaluate_plan(&cfg, entry, &plan, &CoverageConfig::default());
             diags.extend(eval.diagnostics);
-            coverage = Some(eval.coverage);
+            summary = Some(eval.coverage);
         }
     }
 
     let mut report = Report::new(trace.name(), families, cap_per_rule(diags));
-    report.coverage = coverage;
+    report.coverage = summary;
     report
 }
 
-/// Decodes a trace from `r` and analyzes it. `subject` (usually the file
-/// path) labels the report. Decode failures become a single-diagnostic
-/// report from the `decode` family.
-pub fn analyze_read<R: Read>(r: R, subject: &str) -> Report {
-    analyze_read_with(r, subject, &AnalyzeOptions::default())
-}
-
-/// [`analyze_read`] with explicit [`AnalyzeOptions`].
-pub fn analyze_read_with<R: Read>(r: R, subject: &str, options: &AnalyzeOptions) -> Report {
+/// Decodes a trace from `r` and analyzes it as [`analyze_trace`] does.
+/// `subject` (usually the file path) labels the report. Decode failures
+/// become a single-diagnostic report from the `decode` family.
+pub fn analyze_read<R: Read>(r: R, subject: &str, coverage: bool) -> Report {
     match Trace::read_from(r) {
         Ok(trace) => {
-            let mut report = analyze_trace_with(&trace, options);
+            let mut report = analyze_trace(&trace, coverage);
             report.subject = subject.to_string();
             report.families.insert(0, "decode");
             report
@@ -224,7 +206,7 @@ mod tests {
     fn generated_workload_analyzes_clean_of_errors() {
         let spec = swip_workloads::cvp1_suite(3000).remove(1); // a small crypto workload
         let trace = swip_workloads::generate(&spec);
-        let report = analyze_trace(&trace);
+        let report = analyze_trace(&trace, false);
         assert_eq!(report.errors(), 0, "{report}");
         assert_eq!(report.families, vec!["trace", "cfg", "plan", "rewrite"]);
     }
@@ -233,11 +215,7 @@ mod tests {
     fn coverage_family_classifies_every_insertion() {
         let spec = swip_workloads::cvp1_suite(3000).remove(1);
         let trace = swip_workloads::generate(&spec);
-        let opts = AnalyzeOptions {
-            coverage: true,
-            ..Default::default()
-        };
-        let report = analyze_trace_with(&trace, &opts);
+        let report = analyze_trace(&trace, true);
         assert_eq!(report.families.last(), Some(&"coverage"));
         let cov = report.coverage.clone().expect("coverage summary attached");
         assert_eq!(
@@ -255,7 +233,7 @@ mod tests {
         );
         assert!(report.to_json().contains("\"coverage\""));
         // Opting out leaves the report exactly as before.
-        let plain = analyze_trace(&trace);
+        let plain = analyze_trace(&trace, false);
         assert!(plain.coverage.is_none());
         assert!(!plain.families.contains(&"coverage"));
     }
@@ -269,14 +247,14 @@ mod tests {
                 Instruction::alu(Addr::new(0x900)),
             ],
         );
-        let report = analyze_trace(&t);
+        let report = analyze_trace(&t, false);
         assert!(report.has_errors());
         assert_eq!(report.families, vec!["trace"]);
     }
 
     #[test]
     fn analyze_read_maps_decode_errors() {
-        let report = analyze_read(&b"NOPE"[..], "mem");
+        let report = analyze_read(&b"NOPE"[..], "mem", false);
         assert_eq!(report.families, vec!["decode"]);
         assert_eq!(report.diagnostics.len(), 1);
         assert_eq!(report.diagnostics[0].rule, "T001");
@@ -293,7 +271,7 @@ mod tests {
         }
         let mut bytes = Vec::new();
         b.finish().write_to(&mut bytes).unwrap();
-        let report = analyze_read(&bytes[..], "rt.swip");
+        let report = analyze_read(&bytes[..], "rt.swip", false);
         assert_eq!(report.errors(), 0, "{report}");
         assert_eq!(report.subject, "rt.swip");
         assert_eq!(report.families[0], "decode");
@@ -306,7 +284,7 @@ mod tests {
             .map(|i| Instruction::alu(Addr::new(i * 4)).with_size(0))
             .collect();
         // Zero size breaks continuity too; count only T013 here.
-        let report = analyze_trace(&Trace::from_instructions("cap", instrs));
+        let report = analyze_trace(&Trace::from_instructions("cap", instrs), false);
         let t013 = report
             .diagnostics
             .iter()

@@ -48,8 +48,8 @@ pub struct LoopForest {
 
 impl LoopForest {
     /// Detects every natural loop of `cfg` using dominance information from
-    /// `dom` (a forward tree from [`DomTree::dominators`]). Back edges whose
-    /// endpoints are unreachable from the entry are ignored.
+    /// `dom`. Back edges whose endpoints are unreachable from the entry are
+    /// ignored.
     pub fn detect(cfg: &Cfg, dom: &DomTree) -> LoopForest {
         let n = cfg.len();
         // Find back edges, grouped by header.

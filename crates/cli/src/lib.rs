@@ -754,11 +754,7 @@ pub fn execute(cmd: Command) -> Result<u8, Box<dyn Error>> {
                         return Ok(2);
                     }
                 };
-                let options = swip_analyze::AnalyzeOptions {
-                    coverage,
-                    ..Default::default()
-                };
-                let report = swip_analyze::analyze_read_with(handle, &file, &options);
+                let report = swip_analyze::analyze_read(handle, &file, coverage);
                 if json {
                     println!("{}", report.to_json());
                 } else {

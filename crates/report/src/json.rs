@@ -1,10 +1,10 @@
 //! A minimal JSON value, writer, and parser.
 //!
 //! The workspace deliberately carries no external dependencies, so the
-//! report layer hand-rolls its JSON the same way `swip-analyze` does — but
-//! as a reusable *value* type with a parser, because `swip report` must
-//! read its own output back ([`RunReport`](crate::RunReport) round-trips
-//! through this module).
+//! report layer hand-rolls its JSON as a reusable *value* type with a
+//! parser: `swip report` must read its own output back
+//! ([`RunReport`](crate::RunReport) round-trips through this module), and
+//! `swip-analyze` renders its reports through it too.
 //!
 //! Deliberate restrictions, matched to the schema we emit:
 //!

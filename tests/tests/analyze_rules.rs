@@ -35,7 +35,7 @@ fn tiny() -> Trace {
 }
 
 fn decode_rule(bytes: &[u8]) -> &'static str {
-    let report = analyze_read(bytes, "corpus");
+    let report = analyze_read(bytes, "corpus", false);
     assert!(report.has_errors());
     assert_eq!(report.families, vec!["decode"]);
     assert_eq!(report.diagnostics.len(), 1);
@@ -408,7 +408,7 @@ fn generated_workloads_analyze_clean() {
         // one crypto, one integer workload
         let spec = swip_workloads::cvp1_suite(4_000).remove(idx);
         let trace = swip_workloads::generate(&spec);
-        let report = analyze_trace(&trace);
+        let report = analyze_trace(&trace, false);
         assert_eq!(report.errors(), 0, "{}: {report}", spec.name);
     }
 }
@@ -419,7 +419,7 @@ fn asmdb_rewritten_workload_analyzes_clean() {
     let trace = swip_workloads::generate(&spec);
     let out = swip_asmdb::Asmdb::new(swip_asmdb::AsmdbConfig::default())
         .run(&trace, &swip_core::SimConfig::conservative());
-    let report = analyze_trace(&out.rewritten);
+    let report = analyze_trace(&out.rewritten, false);
     assert_eq!(report.errors(), 0, "{report}");
     // And the independent diff agrees with the pipeline's own rewrite.
     let diags = diff_rewrite(&trace, &out.plan, &out.rewritten);
@@ -432,7 +432,7 @@ fn analyze_round_trips_through_bytes() {
     let trace = swip_workloads::generate(&spec);
     let mut bytes = Vec::new();
     trace.write_to(&mut bytes).unwrap();
-    let report = analyze_read(bytes.as_slice(), "suite.swip");
+    let report = analyze_read(bytes.as_slice(), "suite.swip", false);
     assert_eq!(report.errors(), 0, "{report}");
     assert_eq!(report.families[0], "decode");
     // JSON output is well-formed enough to contain the documented keys.
