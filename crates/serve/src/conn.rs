@@ -162,8 +162,7 @@ impl Conn {
                 Ok(None) => break, // need more bytes
                 Err(e) => {
                     // Parse errors are the client's fault: answer 400
-                    // and hang up. (I/O errors never come out of the
-                    // in-memory parser.)
+                    // and hang up.
                     Response::error(400, &e.to_string()).write_connection(&mut self.out, false);
                     self.close_after_flush = true;
                 }

@@ -15,11 +15,10 @@
 //!
 //! Parsing is incremental: [`RequestParser`] consumes complete requests
 //! from a caller-owned byte buffer and leaves pipelined leftovers in
-//! place, so the same parser serves both the blocking [`read_request`]
-//! used by tests and the readiness loop's per-connection state machine
-//! (see `conn`).
+//! place, for the readiness loop's per-connection state machine (see
+//! `conn`).
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// Maximum bytes in the request line + headers.
 const MAX_HEAD: usize = 16 * 1024;
@@ -31,8 +30,6 @@ pub const MAX_BODY: usize = 1024 * 1024;
 /// A parse-level rejection, mapped to `400 Bad Request` by the server.
 #[derive(Debug)]
 pub enum HttpError {
-    /// The socket failed while reading the request.
-    Io(io::Error),
     /// The bytes were not a well-formed HTTP/1.1 request.
     Malformed(&'static str),
     /// The head or body exceeded its size cap.
@@ -42,7 +39,6 @@ pub enum HttpError {
 impl std::fmt::Display for HttpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            HttpError::Io(e) => write!(f, "i/o error reading request: {e}"),
             HttpError::Malformed(what) => write!(f, "malformed request: {what}"),
             HttpError::TooLarge => write!(f, "request exceeds size limits"),
         }
@@ -50,12 +46,6 @@ impl std::fmt::Display for HttpError {
 }
 
 impl std::error::Error for HttpError {}
-
-impl From<io::Error> for HttpError {
-    fn from(e: io::Error) -> Self {
-        HttpError::Io(e)
-    }
-}
 
 /// A parsed request: method, path, version, headers, and body.
 #[derive(Clone, Debug)]
@@ -251,37 +241,6 @@ fn parse_head(head: &[u8]) -> Result<(Request, usize), HttpError> {
     ))
 }
 
-/// Reads and parses one request from `stream`, carrying leftover bytes
-/// across calls.
-///
-/// `carry` holds bytes already read from the stream but not yet
-/// consumed: pipelined requests accumulate there and are parsed on the
-/// next call without touching the socket. On return, `carry` holds
-/// exactly the bytes past the parsed request — nothing is discarded.
-///
-/// # Errors
-///
-/// [`HttpError::Io`] on socket failure, [`HttpError::Malformed`] on
-/// syntax errors, [`HttpError::TooLarge`] when a size cap is exceeded.
-pub fn read_request(stream: &mut impl Read, carry: &mut Vec<u8>) -> Result<Request, HttpError> {
-    let mut parser = RequestParser::new();
-    let mut chunk = [0u8; 1024];
-    loop {
-        if let Some(request) = parser.try_parse(carry)? {
-            return Ok(request);
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(if parser.head_end.is_some() {
-                HttpError::Malformed("connection closed mid-body")
-            } else {
-                HttpError::Malformed("connection closed mid-head")
-            });
-        }
-        carry.extend_from_slice(&chunk[..n]);
-    }
-}
-
 /// A response under construction.
 ///
 /// The `Connection` header is decided at serialization time: the
@@ -415,9 +374,12 @@ fn reason(status: u16) -> &'static str {
 mod tests {
     use super::*;
 
+    /// Parses `bytes` as one complete request, as a connection does with
+    /// its read buffer.
     fn parse(bytes: &[u8]) -> Result<Request, HttpError> {
-        let mut cursor = io::Cursor::new(bytes.to_vec());
-        read_request(&mut cursor, &mut Vec::new())
+        let mut buf = bytes.to_vec();
+        let parsed = RequestParser::new().try_parse(&mut buf)?;
+        Ok(parsed.expect("the bytes hold a complete request"))
     }
 
     #[test]
@@ -475,20 +437,19 @@ mod tests {
     #[test]
     fn pipelined_bytes_carry_over() {
         // Two requests in one burst: the bytes past the first body must
-        // survive in `carry` and parse as the second request without
-        // touching the stream again.
-        let raw =
-            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 2\r\n\r\nhiGET /healthz HTTP/1.1\r\n\r\n";
-        let mut cursor = io::Cursor::new(raw.to_vec());
-        let mut carry = Vec::new();
-        let first = read_request(&mut cursor, &mut carry).unwrap();
+        // stay in the buffer and parse as the second request.
+        let mut buf =
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 2\r\n\r\nhiGET /healthz HTTP/1.1\r\n\r\n"
+                .to_vec();
+        let mut parser = RequestParser::new();
+        let first = parser.try_parse(&mut buf).unwrap().unwrap();
         assert_eq!(first.method, "POST");
         assert_eq!(first.body_str(), Some("hi"));
-        assert!(!carry.is_empty(), "pipelined bytes were destroyed");
-        let second = read_request(&mut cursor, &mut carry).unwrap();
+        assert!(!buf.is_empty(), "pipelined bytes were destroyed");
+        let second = parser.try_parse(&mut buf).unwrap().unwrap();
         assert_eq!(second.method, "GET");
         assert_eq!(second.path, "/healthz");
-        assert!(carry.is_empty());
+        assert!(buf.is_empty());
     }
 
     #[test]

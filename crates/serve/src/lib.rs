@@ -82,7 +82,7 @@ mod server;
 pub mod shutdown;
 mod worker;
 
-pub use http::{read_request, HttpError, Request, RequestParser, Response, MAX_BODY};
+pub use http::{HttpError, Request, RequestParser, Response, MAX_BODY};
 pub use job::{JobRecord, JobRegistry, JobState};
 pub use queue::{BoundedQueue, SubmitError};
 pub use server::{ServeConfig, ServeContext, Server};

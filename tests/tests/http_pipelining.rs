@@ -1,49 +1,15 @@
-//! Byte-split property test for the HTTP request reader: a pipelined
+//! Byte-split property test for the HTTP request parser: a pipelined
 //! two-request corpus must parse identically no matter how the bytes
 //! are fragmented across socket reads.
 //!
-//! This is the regression net for the PR-8 connection-lifecycle fixes:
-//! the old reader destroyed bytes past `Content-Length` (losing the
-//! second pipelined request) and rescanned the whole head on every
-//! read. Here the corpus is cut at every single split point and at
-//! every pair of split points, and both requests must come out of
-//! [`swip_serve::read_request`] byte-for-byte intact each time.
+//! Each fragment is appended to one buffer and every complete request is
+//! drained from it with [`swip_serve::RequestParser::try_parse`], the way
+//! a server connection services each read. The corpus is cut at every
+//! single split point and at every pair of split points, and both
+//! requests must come out byte-for-byte intact each time: the bytes past
+//! the first body are the second request and must never be discarded.
 
-use std::io::{self, Read};
-
-use swip_serve::{read_request, Request};
-
-/// A reader that yields pre-cut fragments one per `read` call,
-/// simulating arbitrary TCP segmentation.
-struct Fragmented {
-    fragments: Vec<Vec<u8>>,
-    next: usize,
-}
-
-impl Fragmented {
-    fn new(fragments: Vec<Vec<u8>>) -> Self {
-        Fragmented { fragments, next: 0 }
-    }
-}
-
-impl Read for Fragmented {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        while self.next < self.fragments.len() && self.fragments[self.next].is_empty() {
-            self.next += 1;
-        }
-        if self.next >= self.fragments.len() {
-            return Ok(0); // EOF
-        }
-        let fragment = &mut self.fragments[self.next];
-        let n = fragment.len().min(buf.len());
-        buf[..n].copy_from_slice(&fragment[..n]);
-        fragment.drain(..n);
-        if fragment.is_empty() {
-            self.next += 1;
-        }
-        Ok(n)
-    }
-}
+use swip_serve::{Request, RequestParser};
 
 /// The pipelined corpus: two POSTs back to back in one byte stream,
 /// with bodies that contain `\r\n\r\n`-free JSON so every split lands
@@ -69,17 +35,26 @@ fn corpus() -> Vec<u8> {
     bytes
 }
 
-/// Reads both pipelined requests through `read_request` with a shared
-/// carryover buffer, the way the server's connection loop does.
-fn parse_both(fragments: Vec<Vec<u8>>) -> (Request, Request) {
-    let mut reader = Fragmented::new(fragments);
-    let mut carry = Vec::new();
-    let first = read_request(&mut reader, &mut carry).expect("first request must parse");
-    let second = read_request(&mut reader, &mut carry).expect("second request must parse");
+/// Appends each fragment to one buffer, as a connection appends each
+/// socket read, and drains every complete request after each append.
+fn parse_both(fragments: &[&[u8]]) -> (Request, Request) {
+    let mut parser = RequestParser::new();
+    let mut buf = Vec::new();
+    let mut requests = Vec::new();
+    for fragment in fragments {
+        buf.extend_from_slice(fragment);
+        while let Some(request) = parser
+            .try_parse(&mut buf)
+            .expect("the corpus is well-formed")
+        {
+            requests.push(request);
+        }
+    }
     assert!(
-        carry.is_empty(),
+        !parser.mid_request(&buf),
         "no bytes may linger after the last request"
     );
+    let [first, second]: [Request; 2] = requests.try_into().expect("exactly two requests");
     (first, second)
 }
 
@@ -96,9 +71,9 @@ fn assert_matches_reference(tag: &str, got: &(Request, Request), want: &(Request
 #[test]
 fn every_single_split_point_parses_identically() {
     let bytes = corpus();
-    let reference = parse_both(vec![bytes.clone()]);
+    let reference = parse_both(&[&bytes]);
     for i in 0..=bytes.len() {
-        let got = parse_both(vec![bytes[..i].to_vec(), bytes[i..].to_vec()]);
+        let got = parse_both(&[&bytes[..i], &bytes[i..]]);
         assert_matches_reference(&format!("split at {i}"), &got, &reference);
     }
 }
@@ -106,14 +81,10 @@ fn every_single_split_point_parses_identically() {
 #[test]
 fn every_pair_of_split_points_parses_identically() {
     let bytes = corpus();
-    let reference = parse_both(vec![bytes.clone()]);
+    let reference = parse_both(&[&bytes]);
     for i in 0..=bytes.len() {
         for j in i..=bytes.len() {
-            let got = parse_both(vec![
-                bytes[..i].to_vec(),
-                bytes[i..j].to_vec(),
-                bytes[j..].to_vec(),
-            ]);
+            let got = parse_both(&[&bytes[..i], &bytes[i..j], &bytes[j..]]);
             assert_matches_reference(&format!("splits at {i},{j}"), &got, &reference);
         }
     }
@@ -122,7 +93,8 @@ fn every_pair_of_split_points_parses_identically() {
 #[test]
 fn single_byte_trickle_parses_identically() {
     let bytes = corpus();
-    let reference = parse_both(vec![bytes.clone()]);
-    let got = parse_both(bytes.iter().map(|&b| vec![b]).collect());
+    let reference = parse_both(&[&bytes]);
+    let bytes: Vec<&[u8]> = bytes.chunks(1).collect();
+    let got = parse_both(&bytes);
     assert_matches_reference("one byte per read", &got, &reference);
 }

@@ -422,8 +422,8 @@ fn keep_alive_connection_serves_many_requests_with_identical_bytes() {
 #[test]
 fn pipelined_submissions_in_one_write_are_both_answered() {
     // Regression for the pipelined-byte-loss bug: two POSTs written in a
-    // single burst must both be parsed and answered — the old
-    // `read_request` destroyed the second request's bytes.
+    // single burst must both be parsed and answered — an earlier reader
+    // destroyed the second request's bytes.
     let h = start(20_000, 48, 2, ServeConfig::default());
 
     let body = r#"{"configs": ["ftq2_fdp"]}"#;
