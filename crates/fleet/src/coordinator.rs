@@ -258,7 +258,9 @@ fn run_shard(
     cfg: &FleetConfig,
     conn: &mut Option<Connection>,
 ) -> Result<RunReport, ShardError> {
-    let deadline = Instant::now() + cfg.shard_timeout;
+    // A deadline too far off to represent is no deadline.
+    let deadline = Instant::now().checked_add(cfg.shard_timeout);
+    let expired = || deadline.is_some_and(|d| Instant::now() >= d);
     let spec = PlanSpec {
         workloads: vec![task.workload.clone()],
         configs: vec![task.config.clone()],
@@ -283,7 +285,7 @@ fn run_shard(
                 }
             }
             429 => {
-                if Instant::now() >= deadline {
+                if expired() {
                     return Err(ShardError::Timeout);
                 }
                 thread::sleep(Duration::from_millis(100));
@@ -302,7 +304,7 @@ fn run_shard(
     // Poll to a terminal state.
     let job_path = format!("/v1/jobs/{id}");
     loop {
-        if Instant::now() >= deadline {
+        if expired() {
             return Err(ShardError::Timeout);
         }
         let (status, text) = http(addr, conn, "GET", &job_path, None)?;

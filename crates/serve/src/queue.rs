@@ -45,11 +45,12 @@ pub struct BoundedQueue<T> {
 }
 
 impl<T> BoundedQueue<T> {
-    /// A queue holding at most `capacity` pending items.
+    /// A queue holding at most `capacity` pending items. It starts empty
+    /// and grows as items arrive, so any `capacity` is accepted.
     pub fn new(capacity: usize) -> Self {
         BoundedQueue {
             state: Mutex::new(QueueState {
-                items: VecDeque::with_capacity(capacity),
+                items: VecDeque::new(),
                 closed: false,
             }),
             cond: Condvar::new(),
@@ -135,6 +136,17 @@ mod tests {
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
         assert_eq!(q.pop(), None); // and stays terminal
+    }
+
+    #[test]
+    fn usize_max_capacity_pushes_and_pops_in_order() {
+        let q = BoundedQueue::<u64>::new(usize::MAX);
+        for i in 0..3 {
+            assert_eq!(q.push(i), Ok(()));
+        }
+        assert_eq!(q.capacity(), usize::MAX);
+        assert_eq!((q.pop(), q.pop(), q.pop()), (Some(0), Some(1), Some(2)));
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -286,7 +286,7 @@ impl Server {
                 if closed.iter().any(|&(j, _)| j == i) {
                     continue;
                 }
-                if now >= self.deadline_of(conn) {
+                if self.deadline_of(conn).is_some_and(|d| now >= d) {
                     let reason = if conn.has_pending_write() {
                         CloseReason::MidRequest // peer stopped reading
                     } else {
@@ -337,14 +337,15 @@ impl Server {
         }
     }
 
-    /// The instant at which `conn` times out under the current config.
-    fn deadline_of(&self, conn: &Conn) -> Instant {
+    /// The instant at which `conn` times out under the current config;
+    /// `None` when that instant cannot be represented (no deadline).
+    fn deadline_of(&self, conn: &Conn) -> Option<Instant> {
         let grace = if conn.mid_request() || conn.has_pending_write() {
             self.ctx.read_timeout
         } else {
             self.ctx.keep_alive_timeout
         };
-        conn.last_activity + grace
+        conn.last_activity.checked_add(grace)
     }
 
     /// Sleep no longer than the nearest connection deadline (capped so
@@ -352,8 +353,8 @@ impl Server {
     fn poll_timeout(&self, conns: &[Conn], draining: bool) -> Duration {
         let mut timeout = if draining { DRAIN_POLL_CAP } else { POLL_CAP };
         let now = Instant::now();
-        for conn in conns {
-            timeout = timeout.min(self.deadline_of(conn).saturating_duration_since(now));
+        for deadline in conns.iter().filter_map(|c| self.deadline_of(c)) {
+            timeout = timeout.min(deadline.saturating_duration_since(now));
         }
         timeout
     }

@@ -184,6 +184,27 @@ fn sigkill_mid_sweep_redispatches_and_matches_offline() {
 }
 
 #[test]
+fn shard_timeout_past_the_end_of_instant_means_no_deadline() {
+    let stride = 24;
+    let (workload, config) = resolve_plan(stride, &PlanSpec::default()).cells()[0].clone();
+    let spec = PlanSpec {
+        workloads: vec![workload],
+        configs: vec![config],
+        insertions: Vec::new(),
+        prefetchers: Vec::new(),
+    };
+    let worker = Worker::spawn(stride);
+    let config = FleetConfig {
+        workers: vec![worker.addr.clone()],
+        shard_timeout: Duration::from_secs(u64::MAX),
+        ..FleetConfig::default()
+    };
+    let run = run_plan(&resolve_plan(stride, &spec), &config).expect("fleet run");
+    assert_eq!(run.report.to_json(), offline_report(stride, &spec));
+    assert_eq!(run.stats.shards, 1);
+}
+
+#[test]
 fn merge_is_independent_of_arrival_order() {
     // Build every single-cell partial the way a worker would (same
     // session knobs, single-cell plan, plan report), then merge them in

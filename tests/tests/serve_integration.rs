@@ -595,3 +595,29 @@ fn stalled_mid_request_times_out_with_408() {
     assert_eq!(status, 202);
     h.server.join().unwrap().unwrap();
 }
+
+#[test]
+fn keep_alive_timeout_past_the_end_of_instant_means_no_deadline() {
+    let h = start(
+        20_000,
+        48,
+        2,
+        ServeConfig {
+            keep_alive_timeout: Duration::from_secs(u64::MAX),
+            ..ServeConfig::default()
+        },
+    );
+
+    // The loop computes every open connection's deadline on each pass,
+    // so a kept-alive connection must survive one it cannot represent.
+    let mut conn = client::Connection::connect(&h.addr).unwrap();
+    for _ in 0..2 {
+        let (status, body) = conn.request("GET", "/healthz", None).unwrap();
+        assert_eq!(status, 200, "{body}");
+    }
+    drop(conn);
+
+    let (status, _) = client::request(&h.addr, "POST", "/v1/shutdown", None).unwrap();
+    assert_eq!(status, 202);
+    h.server.join().unwrap().unwrap();
+}
