@@ -260,7 +260,7 @@ fn take_value<'a>(
 /// # Errors
 ///
 /// Returns [`UsageError`] on unknown subcommands, unknown flags, missing
-/// values, or unparsable numbers.
+/// values, or unparsable or out-of-range numbers.
 pub fn parse(args: &[&str]) -> Result<Command, UsageError> {
     let mut it = args.iter().copied();
     let Some(sub) = it.next() else {
@@ -317,7 +317,7 @@ pub fn parse(args: &[&str]) -> Result<Command, UsageError> {
             let mut sample_stride = 64u64;
             while let Some(a) = it.next() {
                 match a {
-                    "--ftq" => ftq = parse_num(take_value(&mut it, a)?)? as usize,
+                    "--ftq" => ftq = parse_num(take_value(&mut it, a)?)?,
                     "--conservative" => ftq = 2,
                     "--timeline" => timeline = Some(take_value(&mut it, a)?.to_string()),
                     "--sample-stride" => sample_stride = parse_num(take_value(&mut it, a)?)?,
@@ -433,8 +433,8 @@ pub fn parse(args: &[&str]) -> Result<Command, UsageError> {
                         );
                     }
                     "--instructions" => instructions = parse_num(take_value(&mut it, a)?)?,
-                    "--stride" => stride = parse_num(take_value(&mut it, a)?)? as usize,
-                    "--threads" => threads = Some(parse_num(take_value(&mut it, a)?)? as usize),
+                    "--stride" => stride = parse_num(take_value(&mut it, a)?)?,
+                    "--threads" => threads = Some(parse_num(take_value(&mut it, a)?)?),
                     "--asmdb" => {
                         let v = take_value(&mut it, a)?;
                         asmdb = swip_bench::AsmdbTuning::parse(v)
@@ -501,17 +501,17 @@ pub fn parse(args: &[&str]) -> Result<Command, UsageError> {
                     "--worker" => workers.push(take_value(&mut it, a)?.to_string()),
                     "--offline" => offline = true,
                     "--instructions" => instructions = parse_num(take_value(&mut it, a)?)?,
-                    "--stride" => stride = parse_num(take_value(&mut it, a)?)? as usize,
+                    "--stride" => stride = parse_num(take_value(&mut it, a)?)?,
                     "--workload" => workloads.push(take_value(&mut it, a)?.to_string()),
                     "--config" => configs.push(take_value(&mut it, a)?.to_string()),
                     "--prefetcher" => prefetchers.push(take_value(&mut it, a)?.to_string()),
                     "--job-threads" => {
-                        job_threads = Some(parse_num(take_value(&mut it, a)?)? as usize);
+                        job_threads = Some(parse_num(take_value(&mut it, a)?)?);
                     }
                     "--out" => out = Some(take_value(&mut it, a)?.to_string()),
                     "--cache-dir" => cache_dir = Some(take_value(&mut it, a)?.to_string()),
                     "--shard-timeout" => shard_timeout = parse_num(take_value(&mut it, a)?)?,
-                    "--retries" => retries = parse_num(take_value(&mut it, a)?)? as u32,
+                    "--retries" => retries = parse_num(take_value(&mut it, a)?)?,
                     other => return Err(UsageError(format!("unknown flag {other}"))),
                 }
             }
@@ -559,20 +559,20 @@ pub fn parse(args: &[&str]) -> Result<Command, UsageError> {
             while let Some(a) = it.next() {
                 match a {
                     "--addr" => addr = take_value(&mut it, a)?.to_string(),
-                    "--workers" => workers = parse_num(take_value(&mut it, a)?)? as usize,
+                    "--workers" => workers = parse_num(take_value(&mut it, a)?)?,
                     "--queue-depth" => {
-                        queue_depth = parse_num(take_value(&mut it, a)?)? as usize;
+                        queue_depth = parse_num(take_value(&mut it, a)?)?;
                     }
                     "--max-conns" => {
-                        max_conns = parse_num(take_value(&mut it, a)?)? as usize;
+                        max_conns = parse_num(take_value(&mut it, a)?)?;
                     }
                     "--keep-alive-timeout" => {
                         keep_alive_timeout = parse_num(take_value(&mut it, a)?)?;
                     }
                     "--instructions" => instructions = parse_num(take_value(&mut it, a)?)?,
-                    "--stride" => stride = parse_num(take_value(&mut it, a)?)? as usize,
+                    "--stride" => stride = parse_num(take_value(&mut it, a)?)?,
                     "--job-threads" => {
-                        job_threads = Some(parse_num(take_value(&mut it, a)?)? as usize);
+                        job_threads = Some(parse_num(take_value(&mut it, a)?)?);
                     }
                     "--cache-dir" => cache_dir = Some(take_value(&mut it, a)?.to_string()),
                     other => return Err(UsageError(format!("unknown flag {other}"))),
@@ -606,10 +606,14 @@ pub fn parse(args: &[&str]) -> Result<Command, UsageError> {
     }
 }
 
-fn parse_num(s: &str) -> Result<u64, UsageError> {
-    s.replace('_', "")
+/// Parses a flag's number (`_` separators allowed) into the type of the
+/// field it sets; a value that type cannot hold is a usage error.
+fn parse_num<T: TryFrom<u64>>(s: &str) -> Result<T, UsageError> {
+    let n: u64 = s
+        .replace('_', "")
         .parse()
-        .map_err(|_| UsageError(format!("not a number: {s}")))
+        .map_err(|_| UsageError(format!("not a number: {s}")))?;
+    T::try_from(n).map_err(|_| UsageError(format!("out of range: {s}")))
 }
 
 /// Executes a parsed command, writing human-readable output to stdout,
@@ -1261,6 +1265,8 @@ mod tests {
         assert!(parse(&["fleet", "run", "--offline", "--worker", "a:1"]).is_err());
         assert!(parse(&["fleet", "run", "--offline", "--shard-timeout", "0"]).is_err());
         assert!(parse(&["fleet", "run", "--offline", "--retries", "0"]).is_err());
+        assert!(parse(&["fleet", "run", "--offline", "--retries", "4294967296"]).is_err());
+        assert!(parse(&["fleet", "run", "--offline", "--retries", "4294967297"]).is_err());
         assert!(parse(&["fleet", "run", "--offline", "--bogus"]).is_err());
     }
 

@@ -184,6 +184,27 @@ if [ "$code" -ne 2 ]; then
 fi
 echo "report --diff follows the diff(1) exit convention"
 
+echo "==> swip usage errors exit 2"
+# main.rs maps every parse error to exit 2. The fleet command is whole
+# and small, so a parser that wrongly accepted it would run one 1k cell
+# and exit 0 rather than start a sweep.
+if ! cargo run -p swip-cli --release --quiet -- help >/dev/null; then
+    echo "FAIL: swip help must exit 0" >&2
+    exit 1
+fi
+for args in "frobnicate" \
+    "fleet run --offline --retries 4294967297 --instructions 1000 --stride 48 --config ftq2_fdp"; do
+    set +e
+    cargo run -p swip-cli --release --quiet -- $args >/dev/null 2>&1
+    code=$?
+    set -e
+    if [ "$code" -ne 2 ]; then
+        echo "FAIL: swip $args must exit 2 (got $code)" >&2
+        exit 1
+    fi
+done
+echo "swip help exits 0 and usage errors exit 2"
+
 echo "==> determinism: re-run the smoke sweep and byte-compare every output"
 # target/experiments still holds the smoke sweep's output. Every TSV must
 # match it byte for byte, and so must report.json apart from its
