@@ -23,8 +23,6 @@ pub struct DomTree {
     /// Reverse-postorder number per block (`usize::MAX` when
     /// unreachable). Dominators always have smaller numbers.
     rpo_index: Vec<usize>,
-    /// Blocks in reverse postorder, root first.
-    order: Vec<BlockId>,
     /// The root block.
     root: BlockId,
 }
@@ -44,11 +42,10 @@ impl DomTree {
                 }
             }
         }
-        let (idom, rpo_index, order) = solve(n, entry, &succs, &preds);
+        let (idom, rpo_index) = solve(n, entry, &succs, &preds);
         DomTree {
             idom,
             rpo_index,
-            order,
             root: entry,
         }
     }
@@ -77,11 +74,6 @@ impl DomTree {
             Some(&i) if i != usize::MAX => Some(i),
             _ => None,
         }
-    }
-
-    /// Blocks in reverse postorder, root first.
-    pub fn rpo(&self) -> &[BlockId] {
-        &self.order
     }
 
     /// Whether `a` dominates `b` (reflexively: every block dominates
@@ -121,14 +113,14 @@ impl DomTree {
 }
 
 /// Cooper–Harvey–Kennedy over an explicit adjacency list. Returns
-/// `(idom, rpo_index, order)`; `idom[root] == Some(root)`, unreachable
-/// nodes get `None` and `rpo_index` `usize::MAX`.
+/// `(idom, rpo_index)`; `idom[root] == Some(root)`, unreachable nodes
+/// get `None` and `rpo_index` `usize::MAX`.
 fn solve(
     n: usize,
     root: usize,
     succs: &[Vec<usize>],
     preds: &[Vec<usize>],
-) -> (Vec<Option<usize>>, Vec<usize>, Vec<usize>) {
+) -> (Vec<Option<usize>>, Vec<usize>) {
     // Postorder DFS with an explicit stack, then reverse.
     let mut order: Vec<usize> = Vec::with_capacity(n);
     let mut state = vec![0u8; n]; // 0 = unseen, 1 = open, 2 = done
@@ -192,7 +184,7 @@ fn solve(
             }
         }
     }
-    (idom, rpo_index, order)
+    (idom, rpo_index)
 }
 
 #[cfg(test)]
@@ -260,7 +252,9 @@ mod tests {
         assert!(!dom.is_reachable(2));
         assert_eq!(dom.idom(2), None);
         assert!(!dom.dominates(0, 2));
-        assert_eq!(dom.rpo(), &[0, 1]);
+        assert_eq!(dom.rpo_number(0), Some(0));
+        assert_eq!(dom.rpo_number(1), Some(1));
+        assert_eq!(dom.rpo_number(2), None);
     }
 
     #[test]

@@ -29,9 +29,11 @@ use crate::coverage::PredictedCoverage;
 /// Maximum tolerated divergence between a static prediction and the
 /// measured counters, as a fraction in `[0, 1]`.
 ///
-/// The default (0.35) is calibrated on the smoke sweep (20 k instructions,
-/// stride 16) and documented in DESIGN.md §14; `swip analyze --predict-vs
-/// --threshold` overrides it.
+/// The default (0.35) is calibrated on paper sweeps from 20 k to 400 k
+/// instructions, whose compared rows are all `ftq2_asmdb`, and documented
+/// in DESIGN.md §14. FTQ-24 rows, such as a prefetcher-zoo report's
+/// `ftq24_asmdb`, are outside that calibration. `swip analyze
+/// --predict-vs --threshold` overrides it.
 #[derive(Copy, Clone, PartialEq, Debug)]
 pub struct DivergenceThreshold(pub f64);
 
@@ -203,14 +205,6 @@ impl PredictionDiff {
             .map(PredictRow::divergence)
             .fold(0.0, f64::max)
     }
-
-    /// Rows that exceed the threshold.
-    pub fn offenders(&self) -> Vec<&PredictRow> {
-        self.rows
-            .iter()
-            .filter(|r| r.divergence() > self.threshold.0)
-            .collect()
-    }
 }
 
 impl fmt::Display for PredictionDiff {
@@ -292,7 +286,6 @@ mod tests {
         assert!(diff.is_clean(), "{diff}");
         assert_eq!(diff.rows.len(), 1);
         assert!(diff.max_divergence() < 1e-9);
-        assert!(diff.offenders().is_empty());
     }
 
     #[test]
@@ -301,7 +294,7 @@ mod tests {
         let r = report_with(cov(100, 0), "ftq2_asmdb", 100, 80);
         let diff = PredictionDiff::against(&r, DivergenceThreshold::default()).unwrap();
         assert!(!diff.is_clean());
-        assert_eq!(diff.offenders().len(), 1);
+        assert_eq!(diff.rows.len(), 1);
         assert!(diff.to_string().contains("DIVERGES"));
         // A looser threshold accepts the same rows.
         let diff = PredictionDiff::against(&r, DivergenceThreshold(0.9)).unwrap();

@@ -419,11 +419,6 @@ impl Session {
         report
     }
 
-    /// The configured trace cache directory, if any.
-    pub fn cache_dir(&self) -> Option<&std::path::Path> {
-        self.cache_dir.as_deref()
-    }
-
     /// The content address of `spec`'s trace: an FNV-1a hash over every
     /// generator parameter (plus the cache format version), as 16 hex
     /// digits. A workload spec fully determines its trace, so two specs
@@ -455,55 +450,13 @@ impl Session {
     /// Where `spec`'s trace lives in the disk cache (whether or not it has
     /// been materialized yet); `None` without a cache directory. The
     /// filename is content-addressed: `{name}-{fingerprint}.swip`.
-    pub fn trace_cache_path(&self, spec: &WorkloadSpec) -> Option<PathBuf> {
+    fn trace_cache_path(&self, spec: &WorkloadSpec) -> Option<PathBuf> {
         self.cache_dir.as_ref().map(|d| {
             d.join(format!(
                 "{}-{}.swip",
                 spec.name,
                 self.trace_fingerprint(spec)
             ))
-        })
-    }
-
-    /// Resolves a trace fingerprint back to the session workload that owns
-    /// it, for the `GET`/`PUT /v1/cache/{fingerprint}` routes.
-    pub fn spec_for_fingerprint(&self, fingerprint: &str) -> Option<WorkloadSpec> {
-        self.workloads()
-            .into_iter()
-            .find(|spec| self.trace_fingerprint(spec) == fingerprint)
-    }
-
-    /// Installs externally supplied trace bytes into the disk cache under
-    /// `spec`'s content address, validating that they decode to a trace
-    /// for that workload first. Used by the fleet coordinator to ship a
-    /// warm cache to cold workers.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when no cache directory is configured, the bytes
-    /// do not decode, the decoded trace names a different workload, or the
-    /// write fails.
-    pub fn import_cached_trace(&self, spec: &WorkloadSpec, bytes: &[u8]) -> Result<(), String> {
-        let path = self
-            .trace_cache_path(spec)
-            .ok_or_else(|| "no cache directory configured".to_string())?;
-        let trace = Trace::read_from(bytes).map_err(|e| format!("trace does not decode: {e}"))?;
-        if trace.name() != spec.name {
-            return Err(format!(
-                "trace is for workload {:?}, expected {:?}",
-                trace.name(),
-                spec.name
-            ));
-        }
-        let dir = path
-            .parent()
-            .ok_or_else(|| "cache path has no parent".to_string())?;
-        fs::create_dir_all(dir).map_err(|e| format!("creating cache dir: {e}"))?;
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        fs::write(&tmp, bytes).map_err(|e| format!("writing cache file: {e}"))?;
-        fs::rename(&tmp, &path).map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            format!("installing cache file: {e}")
         })
     }
 
@@ -678,55 +631,6 @@ mod tests {
         assert_eq!(reuse.counters().trace_disk_hits, 1);
         assert_eq!(cached.name(), spec.name);
         assert_eq!(imposter.name(), tuned.name);
-
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn import_cached_trace_validates_and_installs() {
-        let dir = std::env::temp_dir().join(format!("swip-cache-import-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-
-        let donor = SessionBuilder::new()
-            .instructions(5_000)
-            .stride(48)
-            .cache_dir(dir.join("donor"))
-            .build()
-            .unwrap();
-        let spec = donor.workloads()[0].clone();
-        donor.trace(&spec);
-        let bytes = fs::read(donor.trace_cache_path(&spec).unwrap()).unwrap();
-
-        let cold = SessionBuilder::new()
-            .instructions(5_000)
-            .stride(48)
-            .cache_dir(dir.join("cold"))
-            .build()
-            .unwrap();
-        assert!(cold.import_cached_trace(&spec, &bytes).is_ok());
-        assert_eq!(cold.counters().trace_generations, 0);
-        cold.trace(&spec);
-        let counters = cold.counters();
-        assert_eq!(
-            counters.trace_disk_hits, 1,
-            "imported bytes must serve the lookup"
-        );
-        assert_eq!(counters.trace_generations, 0);
-
-        // Garbage bytes and mismatched workloads are rejected.
-        assert!(cold.import_cached_trace(&spec, b"not a trace").is_err());
-        let mut other = cold.workloads()[0].clone();
-        other.name = "someone_else".to_string();
-        assert!(cold.import_cached_trace(&other, &bytes).is_err());
-
-        // No cache dir configured → typed refusal.
-        let no_cache = SessionBuilder::new().instructions(5_000).build().unwrap();
-        assert!(no_cache.import_cached_trace(&spec, &bytes).is_err());
-
-        // Fingerprint → spec resolution round-trips.
-        let fp = cold.trace_fingerprint(&spec);
-        assert_eq!(cold.spec_for_fingerprint(&fp).unwrap().name, spec.name);
-        assert!(cold.spec_for_fingerprint("0000000000000000").is_none());
 
         let _ = fs::remove_dir_all(&dir);
     }

@@ -37,10 +37,12 @@
 //!   and exit like `diff(1)`: 0 when they match, 1 when they differ, 2
 //!   when a file cannot be read or parsed;
 //! * `swip fleet run` — shard an experiment plan across `swip serve`
-//!   workers (`--worker HOST:PORT`, repeatable) and merge the partial
-//!   reports into one `RunReport` byte-identical to a single-node run;
-//!   `--offline` runs the same plan locally through the session engine
-//!   instead (the reference the fleet output is compared against);
+//!   workers (`--worker HOST:PORT`, repeatable, with `--shard-timeout
+//!   SECS` and `--retries N`) and merge the partial reports into one
+//!   `RunReport` byte-identical to a single-node run; `--offline` runs
+//!   the same plan locally through the session engine instead (the
+//!   reference the fleet output is compared against), sized by
+//!   `--job-threads K`; each mode rejects the other's flags;
 //! * `swip serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
 //!   [--max-conns N] [--keep-alive-timeout SECS] [--instructions N]
 //!   [--stride N] [--job-threads K] [--cache-dir DIR]` — run the
@@ -166,16 +168,15 @@ pub enum Command {
         configs: Vec<String>,
         /// Prefetcher labels unioned into the configuration axis.
         prefetchers: Vec<String>,
-        /// Session threads for the offline run / plan resolution.
+        /// Session threads for the offline run (`--offline` only).
         job_threads: Option<usize>,
         /// Write the merged report JSON here instead of summarizing.
         out: Option<String>,
-        /// Local trace-cache directory; enables cache shipping to
-        /// workers before the sweep.
-        cache_dir: Option<String>,
-        /// Wall-clock budget per shard attempt, in seconds.
+        /// Wall-clock budget per shard attempt, in seconds (`--worker`
+        /// mode only).
         shard_timeout: u64,
-        /// Attempts per shard before the run fails.
+        /// Attempts per shard before the run fails (`--worker` mode
+        /// only).
         retries: u32,
     },
     /// Serve the experiment engine over HTTP.
@@ -237,10 +238,10 @@ USAGE:
                    extension_hw_prefetch extension_preload feedback
   swip report FILE
   swip report --diff FILE FILE     (exits 0 match / 1 differ / 2 unreadable)
-  swip fleet run (--worker HOST:PORT)... | --offline
+  swip fleet run ((--worker HOST:PORT)... [--shard-timeout SECS] [--retries N]
+                 | --offline [--job-threads K])
              [--workload NAME]... [--config LABEL]... [--prefetcher NAME]...
-             [--instructions N] [--stride N] [--job-threads K]
-             [--cache-dir DIR] [--shard-timeout SECS] [--retries N] [--out FILE]
+             [--instructions N] [--stride N] [--out FILE]
   swip serve [--addr HOST:PORT] [--workers N] [--queue-depth N]
              [--max-conns N] [--keep-alive-timeout SECS]
              [--instructions N] [--stride N] [--job-threads K] [--cache-dir DIR]
@@ -493,9 +494,8 @@ pub fn parse(args: &[&str]) -> Result<Command, UsageError> {
             let mut prefetchers = Vec::new();
             let mut job_threads = None;
             let mut out = None;
-            let mut cache_dir = None;
-            let mut shard_timeout = 120u64;
-            let mut retries = 3u32;
+            let mut shard_timeout: Option<u64> = None;
+            let mut retries: Option<u32> = None;
             while let Some(a) = it.next() {
                 match a {
                     "--worker" => workers.push(take_value(&mut it, a)?.to_string()),
@@ -509,9 +509,10 @@ pub fn parse(args: &[&str]) -> Result<Command, UsageError> {
                         job_threads = Some(parse_num(take_value(&mut it, a)?)?);
                     }
                     "--out" => out = Some(take_value(&mut it, a)?.to_string()),
-                    "--cache-dir" => cache_dir = Some(take_value(&mut it, a)?.to_string()),
-                    "--shard-timeout" => shard_timeout = parse_num(take_value(&mut it, a)?)?,
-                    "--retries" => retries = parse_num(take_value(&mut it, a)?)?,
+                    "--shard-timeout" => {
+                        shard_timeout = Some(parse_num(take_value(&mut it, a)?)?);
+                    }
+                    "--retries" => retries = Some(parse_num(take_value(&mut it, a)?)?),
                     other => return Err(UsageError(format!("unknown flag {other}"))),
                 }
             }
@@ -525,6 +526,21 @@ pub fn parse(args: &[&str]) -> Result<Command, UsageError> {
                     "fleet run requires at least one --worker (or --offline)".into(),
                 ));
             }
+            // Each mode reads only its own flags: refuse the other mode's
+            // rather than ignore them.
+            let stray = if offline {
+                shard_timeout
+                    .map(|_| "--shard-timeout")
+                    .or(retries.map(|_| "--retries"))
+            } else {
+                job_threads.map(|_| "--job-threads")
+            };
+            if let Some(flag) = stray {
+                let mode = if offline { "--offline" } else { "--worker" };
+                return Err(UsageError(format!("{flag} does not apply to {mode} runs")));
+            }
+            let shard_timeout = shard_timeout.unwrap_or(120);
+            let retries = retries.unwrap_or(3);
             if shard_timeout == 0 {
                 return Err(UsageError("--shard-timeout must be positive".into()));
             }
@@ -541,7 +557,6 @@ pub fn parse(args: &[&str]) -> Result<Command, UsageError> {
                 prefetchers,
                 job_threads,
                 out,
-                cache_dir,
                 shard_timeout,
                 retries,
             })
@@ -836,7 +851,6 @@ pub fn execute(cmd: Command) -> Result<u8, Box<dyn Error>> {
             prefetchers,
             job_threads,
             out,
-            cache_dir,
             shard_timeout,
             retries,
         } => {
@@ -852,28 +866,16 @@ pub fn execute(cmd: Command) -> Result<u8, Box<dyn Error>> {
             if let Some(t) = job_threads {
                 builder = builder.threads(t);
             }
-            if let Some(dir) = &cache_dir {
-                builder = builder.cache_dir(dir.clone());
-            }
             let session = builder.build()?;
             let plan = swip_bench::ExperimentPlan::from_spec(&spec, &session.workloads())?;
             let report = if offline {
                 let results = session.run(&plan)?;
                 swip_bench::build_plan_report(&session, &results)
             } else {
-                if cache_dir.is_some() {
-                    let warm = swip_fleet::warm_workers(&session, &plan, &workers);
-                    println!(
-                        "cache shipping: {} shipped, {} already warm, {} skipped, \
-                         {} failed",
-                        warm.shipped, warm.already_warm, warm.skipped, warm.failed
-                    );
-                }
                 let config = swip_fleet::FleetConfig {
                     workers,
                     shard_timeout: std::time::Duration::from_secs(shard_timeout),
                     max_attempts: retries,
-                    ..swip_fleet::FleetConfig::default()
                 };
                 let run = swip_fleet::run_plan(&plan, &config)?;
                 for w in &run.stats.workers {
@@ -1168,7 +1170,11 @@ mod tests {
                 "--worker",
                 "127.0.0.1:1",
                 "--worker",
-                "127.0.0.1:2"
+                "127.0.0.1:2",
+                "--shard-timeout",
+                "30",
+                "--retries",
+                "5"
             ]),
             Ok(Command::Fleet {
                 workers: vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()],
@@ -1180,9 +1186,8 @@ mod tests {
                 prefetchers: vec![],
                 job_threads: None,
                 out: None,
-                cache_dir: None,
-                shard_timeout: 120,
-                retries: 3
+                shard_timeout: 30,
+                retries: 5
             })
         );
         assert_eq!(
@@ -1203,13 +1208,7 @@ mod tests {
                 "--job-threads",
                 "2",
                 "--out",
-                "merged.json",
-                "--cache-dir",
-                "/tmp/swip-cache",
-                "--shard-timeout",
-                "30",
-                "--retries",
-                "5"
+                "merged.json"
             ]),
             Ok(Command::Fleet {
                 workers: vec![],
@@ -1221,9 +1220,8 @@ mod tests {
                 prefetchers: vec!["mana".into()],
                 job_threads: Some(2),
                 out: Some("merged.json".into()),
-                cache_dir: Some("/tmp/swip-cache".into()),
-                shard_timeout: 30,
-                retries: 5
+                shard_timeout: 120,
+                retries: 3
             })
         );
     }
@@ -1263,11 +1261,15 @@ mod tests {
         assert!(parse(&["fleet", "stop"]).is_err());
         assert!(parse(&["fleet", "run"]).is_err());
         assert!(parse(&["fleet", "run", "--offline", "--worker", "a:1"]).is_err());
-        assert!(parse(&["fleet", "run", "--offline", "--shard-timeout", "0"]).is_err());
-        assert!(parse(&["fleet", "run", "--offline", "--retries", "0"]).is_err());
-        assert!(parse(&["fleet", "run", "--offline", "--retries", "4294967296"]).is_err());
-        assert!(parse(&["fleet", "run", "--offline", "--retries", "4294967297"]).is_err());
+        assert!(parse(&["fleet", "run", "--worker", "a:1", "--shard-timeout", "0"]).is_err());
+        assert!(parse(&["fleet", "run", "--worker", "a:1", "--retries", "0"]).is_err());
+        assert!(parse(&["fleet", "run", "--worker", "a:1", "--retries", "4294967296"]).is_err());
+        assert!(parse(&["fleet", "run", "--worker", "a:1", "--retries", "4294967297"]).is_err());
         assert!(parse(&["fleet", "run", "--offline", "--bogus"]).is_err());
+        assert!(parse(&["fleet", "run", "--worker", "a:1", "--cache-dir", "d"]).is_err());
+        assert!(parse(&["fleet", "run", "--offline", "--retries", "7"]).is_err());
+        assert!(parse(&["fleet", "run", "--offline", "--shard-timeout", "30"]).is_err());
+        assert!(parse(&["fleet", "run", "--worker", "A", "--job-threads", "2"]).is_err());
     }
 
     #[test]
@@ -1469,7 +1471,6 @@ mod tests {
             prefetchers: vec![],
             job_threads: Some(1),
             out: Some(out.clone()),
-            cache_dir: None,
             shard_timeout: 120,
             retries: 3,
         })
@@ -1490,7 +1491,6 @@ mod tests {
             prefetchers: vec![],
             job_threads: Some(1),
             out: None,
-            cache_dir: None,
             shard_timeout: 120,
             retries: 3,
         })

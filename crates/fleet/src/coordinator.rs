@@ -33,6 +33,12 @@ use swip_serve::client::{self, Connection};
 
 use crate::{plan_order, FleetConfig, FleetError, FleetRun, FleetStats, WorkerStats};
 
+/// Base backoff between retry attempts; doubles per attempt.
+const BACKOFF: Duration = Duration::from_millis(200);
+/// Delay between job-state polls while a shard runs, and between queue
+/// checks while an idle agent waits on shards in flight elsewhere.
+const POLL_INTERVAL: Duration = Duration::from_millis(20);
+
 /// One unit of work: a single-cell plan plus its retry ledger.
 struct Task {
     /// Index into the plan's cell list (and the results vector).
@@ -208,7 +214,7 @@ fn agent(addr: String, shared: &Shared, cfg: &FleetConfig) -> WorkerStats {
                 // way there is no work left for this thread.
                 return stats;
             }
-            thread::sleep(cfg.poll_interval);
+            thread::sleep(POLL_INTERVAL);
             continue;
         };
 
@@ -241,7 +247,7 @@ fn agent(addr: String, shared: &Shared, cfg: &FleetConfig) -> WorkerStats {
                     shared.in_flight.fetch_sub(1, Ordering::SeqCst);
                     return stats;
                 }
-                let backoff = cfg.backoff * 2u32.saturating_pow(task.attempts - 1);
+                let backoff = BACKOFF * 2u32.saturating_pow(task.attempts - 1);
                 lock(&shared.queue).push_back(task);
                 shared.in_flight.fetch_sub(1, Ordering::SeqCst);
                 thread::sleep(backoff);
@@ -324,7 +330,7 @@ fn run_shard(
                     "worker reported failure: {text}"
                 )))
             }
-            _ => thread::sleep(cfg.poll_interval),
+            _ => thread::sleep(POLL_INTERVAL),
         }
     }
 

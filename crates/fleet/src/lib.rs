@@ -28,11 +28,9 @@
 //!   exhausts its retry budget on live workers, or the death of every
 //!   worker, fails the run.
 //!
-//! Cache shipping ([`warm_workers`]) rides on the content-addressed
-//! trace cache: the coordinator materializes each plan workload's trace
-//! locally, then `GET`s each worker's `/v1/cache/{fingerprint}` and
-//! `PUT`s the bytes wherever it sees a 404 — cold workers skip trace
-//! generation entirely.
+//! Only plan cells and partial reports cross the wire. A trace is a pure
+//! function of its workload spec, so each worker generates the traces
+//! its shards resolve, exactly as an offline run of the same knobs would.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,10 +41,8 @@ use std::time::Duration;
 use swip_bench::ExperimentPlan;
 use swip_report::{MergeError, RunReport};
 
-mod cache;
 mod coordinator;
 
-pub use cache::{warm_workers, WarmStats};
 pub use coordinator::run_plan;
 
 /// Coordinator knobs: the worker set and the retry/timeout policy.
@@ -60,10 +56,6 @@ pub struct FleetConfig {
     /// Attempts per shard before the run fails (dead-worker re-dispatch
     /// does not count against this budget).
     pub max_attempts: u32,
-    /// Base backoff between retry attempts; doubles per attempt.
-    pub backoff: Duration,
-    /// Delay between job-state polls while a shard runs.
-    pub poll_interval: Duration,
 }
 
 impl Default for FleetConfig {
@@ -72,8 +64,6 @@ impl Default for FleetConfig {
             workers: Vec::new(),
             shard_timeout: Duration::from_secs(120),
             max_attempts: 3,
-            backoff: Duration::from_millis(200),
-            poll_interval: Duration::from_millis(20),
         }
     }
 }

@@ -10,6 +10,7 @@
 use std::fmt;
 
 use swip_core::SimReport;
+use swip_types::Fnv1a;
 
 use crate::json::{Json, JsonError};
 
@@ -426,26 +427,18 @@ impl RunReport {
     /// matrix. Counter values are deliberately excluded so two runs of the
     /// same experiment are directly diffable.
     pub fn compute_fingerprint(&self) -> String {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= b as u64;
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            hash ^= 0xff; // field separator
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        eat(&self.version.to_le_bytes());
-        eat(self.figure.as_bytes());
-        eat(&self.instructions.to_le_bytes());
-        eat(&self.stride.to_le_bytes());
+        let mut h = Fnv1a::new();
+        h.field(&self.version.to_le_bytes());
+        h.field(self.figure.as_bytes());
+        h.field(&self.instructions.to_le_bytes());
+        h.field(&self.stride.to_le_bytes());
         for w in &self.workloads {
-            eat(w.name.as_bytes());
+            h.field(w.name.as_bytes());
             for c in &w.configs {
-                eat(c.config.as_bytes());
+                h.field(c.config.as_bytes());
             }
         }
-        format!("{hash:016x}")
+        h.finish()
     }
 
     /// The workload entry named `name`, if present.

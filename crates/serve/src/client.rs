@@ -112,31 +112,6 @@ impl Connection {
         self.read_framed_response()
     }
 
-    /// Sends one request with a binary body and returns
-    /// `(status, body bytes)` — the transfer flavor for the
-    /// `/v1/cache/{fingerprint}` routes, whose payloads are raw `SWIP`
-    /// trace bytes rather than UTF-8 JSON.
-    ///
-    /// # Errors
-    ///
-    /// Socket I/O errors, plus `InvalidData` for unframeable responses.
-    pub fn request_bytes(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-    ) -> io::Result<(u16, Vec<u8>)> {
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: swip-serve\r\nContent-Length: {}\r\n\r\n",
-            body.len()
-        );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body)?;
-        self.stream.flush()?;
-        let raw = self.read_framed_response()?;
-        split_response_bytes(&raw)
-    }
-
     /// Writes raw bytes to the socket without awaiting a response
     /// (pipelining aid for tests).
     ///
@@ -194,27 +169,6 @@ impl Connection {
     }
 }
 
-/// Splits raw response bytes into `(status, body bytes)` without
-/// requiring the body to be UTF-8 (the head still must be).
-fn split_response_bytes(raw: &[u8]) -> io::Result<(u16, Vec<u8>)> {
-    let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .ok_or_else(|| bad("response has no head/body separator"))?;
-    let head =
-        std::str::from_utf8(&raw[..head_end]).map_err(|_| bad("response head is not UTF-8"))?;
-    let status = head
-        .lines()
-        .next()
-        .unwrap_or("")
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| bad("response status line is unparsable"))?;
-    Ok((status, raw[head_end + 4..].to_vec()))
-}
-
 /// Splits raw response bytes into `(status, head, body)`.
 fn parse_response(raw: &[u8]) -> io::Result<(u16, String, String)> {
     let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
@@ -248,17 +202,5 @@ mod tests {
     #[test]
     fn rejects_non_http_bytes() {
         assert!(parse_response(b"ceci n'est pas une reponse").is_err());
-    }
-
-    #[test]
-    fn splits_binary_bodies_without_utf8() {
-        let mut raw = b"HTTP/1.1 200 OK\r\nContent-Length: 4\r\n\r\n".to_vec();
-        raw.extend_from_slice(&[0x00, 0xff, 0x80, 0x01]);
-        let (status, body) = split_response_bytes(&raw).unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(body, vec![0x00, 0xff, 0x80, 0x01]);
-        // The same bytes would fail the UTF-8-only parser.
-        assert!(parse_response(&raw).is_err());
-        assert!(split_response_bytes(b"junk").is_err());
     }
 }

@@ -152,10 +152,9 @@ impl Conn {
                     // not park on a draining server.
                     let keep_alive = request.wants_keep_alive() && !ctx.is_draining();
                     let response = router::route(ctx, &request);
-                    let close = !keep_alive || response.close;
-                    response.write_connection(&mut self.out, !close);
+                    response.write_connection(&mut self.out, keep_alive);
                     self.requests_served += 1;
-                    if close {
+                    if !keep_alive {
                         self.close_after_flush = true;
                     }
                 }

@@ -22,10 +22,8 @@ use std::io::{self, Write};
 
 /// Maximum bytes in the request line + headers.
 const MAX_HEAD: usize = 16 * 1024;
-/// Maximum bytes in a request body. Public because clients (the fleet
-/// coordinator's cache shipping, notably) must know what the server will
-/// refuse to buffer.
-pub const MAX_BODY: usize = 1024 * 1024;
+/// Maximum bytes in a request body.
+const MAX_BODY: usize = 1024 * 1024;
 
 /// A parse-level rejection, mapped to `400 Bad Request` by the server.
 #[derive(Debug)]
@@ -241,14 +239,13 @@ fn parse_head(head: &[u8]) -> Result<(Request, usize), HttpError> {
     ))
 }
 
-/// A response under construction.
+/// A JSON response under construction.
 ///
 /// The `Connection` header is decided at serialization time: the
 /// connection layer negotiates keep-alive per request and passes the
 /// verdict to [`write_connection`](Response::write_connection);
 /// [`write_to`](Response::write_to) is the one-shot flavor that always
-/// closes. A handler can force closure regardless of negotiation by
-/// setting [`close`](Response::close) (e.g. accept-time shedding).
+/// closes (accept-time shedding).
 #[derive(Clone, Debug)]
 pub struct Response {
     /// Status code (200, 400, 429, …).
@@ -257,11 +254,6 @@ pub struct Response {
     pub headers: Vec<(String, String)>,
     /// Response body bytes.
     pub body: Vec<u8>,
-    /// `Content-Type` header value (`application/json` unless built with
-    /// [`Response::bytes`]).
-    pub content_type: &'static str,
-    /// Force `Connection: close` even on a kept-alive connection.
-    pub close: bool,
 }
 
 impl Response {
@@ -271,19 +263,6 @@ impl Response {
             status,
             headers: Vec::new(),
             body: body.into().into_bytes(),
-            content_type: "application/json",
-            close: false,
-        }
-    }
-
-    /// A binary `application/octet-stream` response (cache shipping).
-    pub fn bytes(status: u16, body: Vec<u8>) -> Self {
-        Response {
-            status,
-            headers: Vec::new(),
-            body,
-            content_type: "application/octet-stream",
-            close: false,
         }
     }
 
@@ -302,27 +281,14 @@ impl Response {
         self
     }
 
-    /// Marks the response as connection-terminating regardless of what
-    /// the request negotiated.
-    pub fn with_close(mut self) -> Self {
-        self.close = true;
-        self
-    }
-
     /// Serializes the response into `out` with the negotiated
-    /// `Connection` header (`keep_alive = false`, or a set
-    /// [`close`](Response::close) flag, emits `close`).
+    /// `Connection` header (`keep_alive = false` emits `close`).
     pub fn write_connection(&self, out: &mut Vec<u8>, keep_alive: bool) {
-        let connection = if keep_alive && !self.close {
-            "keep-alive"
-        } else {
-            "close"
-        };
+        let connection = if keep_alive { "keep-alive" } else { "close" };
         let mut head = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
+            "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             reason(self.status),
-            self.content_type,
             self.body.len(),
             connection,
         );
@@ -518,14 +484,5 @@ mod tests {
         assert!(String::from_utf8(kept)
             .unwrap()
             .contains("Connection: keep-alive\r\n"));
-
-        // A forced close wins over keep-alive negotiation (shedding).
-        let mut shed = Vec::new();
-        Response::error(503, "full")
-            .with_close()
-            .write_connection(&mut shed, true);
-        assert!(String::from_utf8(shed)
-            .unwrap()
-            .contains("Connection: close\r\n"));
     }
 }

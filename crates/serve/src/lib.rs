@@ -26,8 +26,6 @@
 //! | `GET /v1/jobs/{id}/report` | The finished job's deterministic `RunReport` |
 //! | `GET /healthz` | Liveness + drain flag |
 //! | `GET /metrics` | Queue depth, jobs by state, session counters, uptime |
-//! | `GET /v1/cache/{fingerprint}` | Content-addressed trace-cache entry as raw `SWIP` bytes (404 until cached) |
-//! | `PUT /v1/cache/{fingerprint}` | Install shipped trace bytes after validation (fleet cache warming) |
 //! | `POST /v1/shutdown` | Begin graceful drain (what SIGINT does, but testable) |
 //!
 //! # Contracts
@@ -82,7 +80,7 @@ mod server;
 pub mod shutdown;
 mod worker;
 
-pub use http::{HttpError, Request, RequestParser, Response, MAX_BODY};
+pub use http::{HttpError, Request, RequestParser, Response};
 pub use job::{JobRecord, JobRegistry, JobState};
 pub use queue::{BoundedQueue, SubmitError};
 pub use server::{ServeConfig, ServeContext, Server};

@@ -40,13 +40,6 @@ pub(crate) fn route(ctx: &Arc<ServeContext>, req: &Request) -> Response {
                 }
                 return job_resource(ctx, rest);
             }
-            if let Some(fingerprint) = path.strip_prefix("/v1/cache/") {
-                return match method {
-                    "GET" => cache_get(ctx, fingerprint),
-                    "PUT" => cache_put(ctx, fingerprint, &req.body),
-                    _ => Response::error(405, "cache entries support GET and PUT"),
-                };
-            }
             if matches!(path, "/healthz" | "/metrics") {
                 return Response::error(405, "use GET here");
             }
@@ -123,50 +116,6 @@ fn submit(ctx: &Arc<ServeContext>, req: &Request) -> Response {
             ctx.registry.remove(id);
             Response::error(503, "server is draining; not accepting new jobs")
         }
-    }
-}
-
-/// `GET /v1/cache/{fingerprint}`: the content-addressed trace-cache
-/// entry for one of this session's workloads, as raw `SWIP` bytes.
-///
-/// 404 covers every "not here" case — no cache directory, a fingerprint
-/// no session workload owns, or an entry not yet materialized — so a
-/// coordinator can treat 404 uniformly as "ship it".
-fn cache_get(ctx: &ServeContext, fingerprint: &str) -> Response {
-    let Some(spec) = ctx.session.spec_for_fingerprint(fingerprint) else {
-        return Response::error(404, "no session workload has that trace fingerprint");
-    };
-    let Some(path) = ctx.session.trace_cache_path(&spec) else {
-        return Response::error(404, "server has no trace cache directory");
-    };
-    match std::fs::read(&path) {
-        Ok(bytes) => Response::bytes(200, bytes),
-        Err(_) => Response::error(404, "trace not cached yet"),
-    }
-}
-
-/// `PUT /v1/cache/{fingerprint}`: installs trace bytes shipped by a
-/// coordinator under their content address, after validating that they
-/// decode to the right workload's trace. 409 without a cache directory
-/// (the entry can never be stored), 404 for unknown fingerprints, 400
-/// for bytes that fail validation.
-fn cache_put(ctx: &ServeContext, fingerprint: &str, body: &[u8]) -> Response {
-    if ctx.session.cache_dir().is_none() {
-        return Response::error(409, "server has no trace cache directory");
-    }
-    let Some(spec) = ctx.session.spec_for_fingerprint(fingerprint) else {
-        return Response::error(404, "no session workload has that trace fingerprint");
-    };
-    match ctx.session.import_cached_trace(&spec, body) {
-        Ok(()) => {
-            let obj = Json::Obj(vec![
-                ("status".to_string(), Json::Str("stored".to_string())),
-                ("workload".to_string(), Json::Str(spec.name.clone())),
-                ("bytes".to_string(), Json::U64(body.len() as u64)),
-            ]);
-            Response::json(200, obj.render())
-        }
-        Err(e) => Response::error(400, &format!("rejected cache entry: {e}")),
     }
 }
 

@@ -68,11 +68,6 @@ impl Addr {
         Addr(self.0 + bytes)
     }
 
-    /// Byte distance from `earlier` to `self`, or `None` if `earlier > self`.
-    pub fn distance_from(self, earlier: Addr) -> Option<u64> {
-        self.0.checked_sub(earlier.0)
-    }
-
     /// True if `self` and `other` share a cache line.
     pub const fn same_line(self, other: Addr) -> bool {
         (self.0 >> LINE_SHIFT) == (other.0 >> LINE_SHIFT)
@@ -201,15 +196,6 @@ mod tests {
         let a = Addr::new(0x4000);
         assert_eq!(a.offset(16).offset(-16), a);
         assert_eq!(a.add(4), Addr::new(0x4004));
-    }
-
-    #[test]
-    fn distance_from_ordering() {
-        let lo = Addr::new(0x100);
-        let hi = Addr::new(0x180);
-        assert_eq!(hi.distance_from(lo), Some(0x80));
-        assert_eq!(lo.distance_from(hi), None);
-        assert_eq!(lo.distance_from(lo), Some(0));
     }
 
     #[test]

@@ -186,14 +186,15 @@ echo "report --diff follows the diff(1) exit convention"
 
 echo "==> swip usage errors exit 2"
 # main.rs maps every parse error to exit 2. The fleet command is whole
-# and small, so a parser that wrongly accepted it would run one 1k cell
-# and exit 0 rather than start a sweep.
+# and valid for --worker mode apart from its out-of-range --retries, so
+# it fails on that value and not on a mode clash; a parser that accepted
+# the value would fail to register the worker at 127.0.0.1:9 and exit 1.
 if ! cargo run -p swip-cli --release --quiet -- help >/dev/null; then
     echo "FAIL: swip help must exit 0" >&2
     exit 1
 fi
 for args in "frobnicate" \
-    "fleet run --offline --retries 4294967297 --instructions 1000 --stride 48 --config ftq2_fdp"; do
+    "fleet run --worker 127.0.0.1:9 --retries 4294967297 --instructions 1000 --stride 48 --config ftq2_fdp"; do
     set +e
     cargo run -p swip-cli --release --quiet -- $args >/dev/null 2>&1
     code=$?

@@ -3,7 +3,7 @@
 //! The tests need real *processes* (the dead-worker test SIGKILLs one
 //! mid-sweep, which an in-process server thread cannot model), spawned
 //! via `env!("CARGO_BIN_EXE_fleet_worker")`. Arguments are positional:
-//! `fleet_worker [instructions] [stride] [threads] [cache_dir]`. The
+//! `fleet_worker [instructions] [stride] [threads]`. The
 //! picked ephemeral port is announced on stdout as `listening on ADDR`,
 //! the same line `swip serve` prints for scripts to scrape.
 
@@ -24,14 +24,12 @@ fn main() {
         .map(|s| s.parse().expect("threads must be a number"))
         .unwrap_or(2);
 
-    let mut builder = swip_bench::SessionBuilder::new()
+    let session = swip_bench::SessionBuilder::new()
         .instructions(instructions)
         .stride(stride)
-        .threads(threads);
-    if let Some(dir) = args.get(4) {
-        builder = builder.cache_dir(dir.clone());
-    }
-    let session = builder.build().expect("worker session");
+        .threads(threads)
+        .build()
+        .expect("worker session");
 
     let config = swip_serve::ServeConfig {
         addr: "127.0.0.1:0".to_string(),

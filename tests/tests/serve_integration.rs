@@ -529,6 +529,21 @@ fn connection_table_is_bounded_and_sheds_with_503() {
 fn drain_exits_cleanly_with_idle_kept_alive_connections_open() {
     let h = start(20_000, 48, 2, ServeConfig::default());
 
+    // The router's fallthrough: an unknown path is 404 whatever the
+    // method (the server keeps no trace-cache routes), and a known path
+    // under the wrong method is 405.
+    for (method, path, want) in [
+        ("GET", "/nope", 404),
+        ("GET", "/v1/cache/0123456789abcdef", 404),
+        ("PUT", "/v1/cache/0123456789abcdef", 404),
+        ("POST", "/healthz", 405),
+        ("GET", "/v1/jobs", 405),
+        ("DELETE", "/v1/jobs/1", 405),
+    ] {
+        let (status, body) = client::request(&h.addr, method, path, None).unwrap();
+        assert_eq!(status, want, "{method} {path}: {body}");
+    }
+
     // Park two kept-alive connections (each has served a request, so
     // drain sees genuine idle keep-alive state, not a fresh socket).
     let mut parked = Vec::new();
